@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use clique_graphs::Graph;
-use clique_routing::{BalancedRouter, Router, RoutingDemand};
+use clique_routing::{BalancedRouter, Packet, Router, RoutingDemand};
 use clique_sim::linalg::{saturating_counting_add, strassen_padded_dim};
 use clique_sim::prelude::*;
 
@@ -172,6 +172,33 @@ impl SemiringMatrix {
     fn combine_entry(&mut self, semiring: Semiring, i: usize, j: usize, value: u64) {
         let folded = semiring.combine(self.entry(i, j), value);
         self.set_entry(i, j, folded);
+    }
+
+    /// Calls `f` on the entries of row `i` in `cols`, in column order,
+    /// matching on the representation once per row.
+    fn for_row(&self, i: usize, cols: Range<usize>, mut f: impl FnMut(u64)) {
+        match self {
+            SemiringMatrix::Bits(m) => cols.for_each(|j| f(u64::from(m.get(i, j)))),
+            SemiringMatrix::Ints(m) => m.row(i)[cols].iter().for_each(|&v| f(v)),
+        }
+    }
+
+    /// Replaces each entry of row `i` in `cols` by `f(entry)`, in column
+    /// order, matching on the representation once per row.
+    fn update_row(&mut self, i: usize, cols: Range<usize>, mut f: impl FnMut(u64) -> u64) {
+        match self {
+            SemiringMatrix::Bits(m) => {
+                for j in cols {
+                    let value = f(u64::from(m.get(i, j)));
+                    m.set(i, j, value != 0);
+                }
+            }
+            SemiringMatrix::Ints(m) => {
+                for slot in &mut m.row_mut(i)[cols] {
+                    *slot = f(*slot);
+                }
+            }
+        }
     }
 
     /// The local block product in the given semiring (the word-parallel
@@ -362,13 +389,15 @@ impl EntryCodec {
     }
 }
 
-/// Per-destination readers over the packets one balanced-routing phase
-/// delivered, keyed by source player.
-fn readers_by_source<'a>(packets: &'a [clique_routing::Packet]) -> HashMap<usize, BitReader<'a>> {
-    packets
-        .iter()
-        .map(|p| (p.src.index(), p.payload.reader()))
-        .collect()
+/// Readers over the packets one destination received in a balanced-routing
+/// phase, indexed by source player (`None` where that player sent nothing).
+/// Every caller sends at most one packet per `(src, dst)` pair.
+fn readers_by_source(n: usize, packets: &[Packet]) -> Vec<Option<BitReader<'_>>> {
+    let mut readers = vec![None; n];
+    for p in packets {
+        readers[p.src.index()] = Some(p.payload.reader());
+    }
+    readers
 }
 
 /// Chunk granularity (payload bits per routed packet) for the fast path.
@@ -418,53 +447,43 @@ impl Chunker {
             let take = remaining.min(FAST_CHUNK_BITS);
             let mut chunk = BitString::with_capacity(self.seq_width + take);
             chunk.push_bits(seq, self.seq_width);
-            for _ in 0..take {
-                chunk.push_bit(reader.read_bit().expect("chunk within payload"));
-            }
+            chunk.extend_from(&reader.read_bitstring(take).expect("chunk within payload"));
             demand.send(src, dst, chunk);
             remaining -= take;
             seq += 1;
         }
     }
 
-    /// Regroups one destination's delivered chunks into per-source logical
-    /// payloads, restoring sender order from the sequence tags.
-    fn merge(&self, packets: &[clique_routing::Packet]) -> HashMap<usize, BitString> {
-        let mut by_src: HashMap<usize, Vec<(u64, &BitString)>> = HashMap::new();
-        for p in packets {
-            let mut reader = p.payload.reader();
-            let seq = reader
-                .read_bits(self.seq_width)
-                .expect("malformed fast-matmul chunk tag");
-            by_src
-                .entry(p.src.index())
-                .or_default()
-                .push((seq, &p.payload));
-        }
-        by_src
-            .into_iter()
-            .map(|(src, mut chunks)| {
-                chunks.sort_unstable_by_key(|&(seq, _)| seq);
-                let mut merged = BitString::new();
-                for (_, payload) in chunks {
-                    let mut reader = payload.reader();
-                    reader.read_bits(self.seq_width).expect("tag parsed above");
-                    while !reader.is_exhausted() {
-                        merged.push_bit(reader.read_bit().expect("chunk payload bit"));
-                    }
-                }
-                (src, merged)
+    /// Regroups one destination's delivered chunks into one logical packet
+    /// per source (ascending), restoring sender order from the sequence
+    /// tags.
+    fn merge(&self, packets: &[Packet]) -> Vec<Packet> {
+        let mut tagged: Vec<(usize, u64, &Packet)> = packets
+            .iter()
+            .map(|p| {
+                let seq = p
+                    .payload
+                    .reader()
+                    .read_bits(self.seq_width)
+                    .expect("malformed fast-matmul chunk tag");
+                (p.src.index(), seq, p)
             })
-            .collect()
+            .collect();
+        tagged.sort_unstable_by_key(|&(src, seq, _)| (src, seq));
+        let mut merged: Vec<Packet> = Vec::new();
+        for (_, _, p) in tagged {
+            let mut reader = p.payload.reader();
+            reader.read_bits(self.seq_width).expect("tag parsed above");
+            let body = reader
+                .read_bitstring(reader.remaining())
+                .expect("chunk payload");
+            match merged.last_mut() {
+                Some(m) if m.src == p.src => m.payload.extend_from(&body),
+                _ => merged.push(Packet::new(p.src, p.dst, body)),
+            }
+        }
+        merged
     }
-}
-
-/// Per-source readers over one destination's reassembled logical payloads.
-fn readers_by_merged(merged: &HashMap<usize, BitString>) -> HashMap<usize, BitReader<'_>> {
-    merged
-        .iter()
-        .map(|(&src, payload)| (src, payload.reader()))
-        .collect()
 }
 
 /// The `O(n^{1/3})`-round distributed semiring matrix product as a
@@ -574,9 +593,9 @@ impl Protocol for SemiringMatMul<'_> {
                                 continue; // own input rows need no routing
                             }
                             let buf = payloads.entry(v).or_default();
-                            for c in part.block(col_block) {
-                                codec.encode_input(matrix.entry(r, c), buf);
-                            }
+                            matrix.for_row(r, part.block(col_block), |value| {
+                                codec.encode_input(value, buf)
+                            });
                         }
                     }
                     for (v, payload) in payloads {
@@ -597,7 +616,7 @@ impl Protocol for SemiringMatMul<'_> {
             for j in 0..g {
                 for k in 0..g {
                     let w = part.cube_node(i, j, k);
-                    let mut readers = readers_by_source(&delivered[w]);
+                    let mut readers = readers_by_source(n, &delivered[w]);
                     let mut blocks: Vec<SemiringMatrix> = Vec::with_capacity(2);
                     for (matrix, row_block, col_block) in [(self.a, i, k), (self.b, k, j)] {
                         let (rows, cols) = (part.block(row_block), part.block(col_block));
@@ -614,12 +633,10 @@ impl Protocol for SemiringMatMul<'_> {
                                 // sender skips empty payloads), so only
                                 // look the reader up when there are entries
                                 // to read.
-                                let reader = readers
-                                    .get_mut(&v)
+                                let reader = readers[v]
+                                    .as_mut()
                                     .expect("missing semiring-matmul input packet");
-                                for bj in 0..cols.len() {
-                                    block.set_entry(bi, bj, codec.decode_input(reader));
-                                }
+                                block.update_row(bi, 0..cols.len(), |_| codec.decode_input(reader));
                             }
                         }
                         blocks.push(block);
@@ -653,9 +670,9 @@ impl Protocol for SemiringMatMul<'_> {
                             }
                         } else {
                             let buf = payloads.entry(v).or_default();
-                            for bj in 0..cols.len() {
-                                codec.encode_partial(partial.entry(bi, bj), buf);
-                            }
+                            partial.for_row(bi, 0..cols.len(), |value| {
+                                codec.encode_partial(value, buf)
+                            });
                         }
                     }
                     for (v, payload) in payloads {
@@ -671,7 +688,7 @@ impl Protocol for SemiringMatMul<'_> {
         // Fold the routed partials, walking cubes in the same canonical
         // order the senders used.
         for (v, packets) in delivered.iter().enumerate() {
-            let mut readers = readers_by_source(packets);
+            let mut readers = readers_by_source(n, packets);
             for i in 0..g {
                 let owned: Vec<usize> = part.block(i).filter(|&r| part.row_owner(r) == v).collect();
                 if owned.is_empty() {
@@ -687,14 +704,13 @@ impl Protocol for SemiringMatMul<'_> {
                         if w == v {
                             continue; // folded locally above
                         }
-                        let reader = readers
-                            .get_mut(&w)
+                        let reader = readers[w]
+                            .as_mut()
                             .expect("missing semiring-matmul partial packet");
                         for &r in &owned {
-                            for c in cols.clone() {
-                                let value = codec.decode_partial(reader);
-                                output.combine_entry(self.semiring, r, c, value);
-                            }
+                            output.update_row(r, cols.clone(), |old| {
+                                self.semiring.combine(old, codec.decode_partial(reader))
+                            });
                         }
                     }
                 }
@@ -1111,8 +1127,7 @@ impl Protocol for FastMatMul<'_> {
             }
         }
         let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<HashMap<usize, BitString>> =
-            delivered.iter().map(|p| chunk1.merge(p)).collect();
+        let merged: Vec<Vec<Packet>> = delivered.iter().map(|p| chunk1.merge(p)).collect();
 
         // The leaf-row owners fold the signed combinations. Signed sums are
         // kept in i64 (wrapping-safe by the headroom precondition); over F₂
@@ -1120,9 +1135,9 @@ impl Protocol for FastMatMul<'_> {
         let mut leaf_ops: Vec<LeafOperands> = Vec::with_capacity(leaves.len());
         for (t, leaf) in leaves.iter().enumerate() {
             let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let mut readers: HashMap<usize, HashMap<usize, BitReader<'_>>> = (0..q)
+            let mut readers: HashMap<usize, Vec<Option<BitReader<'_>>>> = (0..q)
                 .map(|rl| gs + lp.row_owner(rl))
-                .map(|o| (o, readers_by_merged(&merged[o])))
+                .map(|o| (o, readers_by_source(n, &merged[o])))
                 .collect();
             let mut acc_a = vec![0i64; q * q];
             let mut acc_b = vec![0i64; q * q];
@@ -1142,10 +1157,8 @@ impl Protocol for FastMatMul<'_> {
                             let value = if v == o {
                                 matrix.entry(r, c)
                             } else {
-                                readers
-                                    .get_mut(&o)
-                                    .expect("owner readers built above")
-                                    .get_mut(&v)
+                                readers.get_mut(&o).expect("owner readers built above")[v]
+                                    .as_mut()
                                     .expect("missing fast-matmul input packet")
                                     .read_bits(raw_width)
                                     .expect("malformed fast-matmul input record")
@@ -1228,8 +1241,7 @@ impl Protocol for FastMatMul<'_> {
             }
         }
         let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<HashMap<usize, BitString>> =
-            delivered.iter().map(|p| chunk2.merge(p)).collect();
+        let merged: Vec<Vec<Packet>> = delivered.iter().map(|p| chunk2.merge(p)).collect();
 
         // Cube nodes reassemble their blocks and multiply with the packed
         // (F₂) or wrapping-exact (counting) leaf kernel.
@@ -1242,7 +1254,7 @@ impl Protocol for FastMatMul<'_> {
                 for j in 0..lp.g {
                     for k in 0..lp.g {
                         let w = gs + lp.cube_node(i, j, k);
-                        let mut readers = readers_by_merged(&merged[w]);
+                        let mut readers = readers_by_source(n, &merged[w]);
                         let mut fill = |row_block: usize, col_block: usize, side: usize| {
                             let (rows, cols) = (lp.block(row_block), lp.block(col_block));
                             let mut bits = BitMatrix::zeros(rows.len(), cols.len());
@@ -1260,8 +1272,8 @@ impl Protocol for FastMatMul<'_> {
                                             ints.set(br, bc, m.get(r, c));
                                         }
                                         (LeafOperands::Bits(..), false) => {
-                                            let reader = readers
-                                                .get_mut(&v)
+                                            let reader = readers[v]
+                                                .as_mut()
                                                 .expect("missing fast-matmul block packet");
                                             let bit = reader
                                                 .read_bits(1)
@@ -1270,8 +1282,8 @@ impl Protocol for FastMatMul<'_> {
                                         }
                                         (LeafOperands::Ints(..), false) => {
                                             let wire = if side == 0 { wire_a } else { wire_b };
-                                            let reader = readers
-                                                .get_mut(&v)
+                                            let reader = readers[v]
+                                                .as_mut()
                                                 .expect("missing fast-matmul block packet");
                                             ints.set(br, bc, wire.decode(reader) as u64);
                                         }
@@ -1375,11 +1387,10 @@ impl Protocol for FastMatMul<'_> {
             }
         }
         let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<HashMap<usize, BitString>> =
-            delivered.iter().map(|p| chunk3.merge(p)).collect();
+        let merged: Vec<Vec<Packet>> = delivered.iter().map(|p| chunk3.merge(p)).collect();
 
         for (v, merged_sources) in merged.iter().enumerate() {
-            let mut readers = readers_by_merged(merged_sources);
+            let mut readers = readers_by_source(n, merged_sources);
             for (t, leaf) in leaves.iter().enumerate() {
                 let (gs, lp) = (group_start(t), &leaf_parts[t]);
                 let (_, _, wire_p) = &wires[t];
@@ -1404,8 +1415,8 @@ impl Protocol for FastMatMul<'_> {
                                         if out_c >= d {
                                             continue;
                                         }
-                                        let reader = readers
-                                            .get_mut(&w)
+                                        let reader = readers[w]
+                                            .as_mut()
                                             .expect("missing fast-matmul partial packet");
                                         let value = match self.semiring {
                                             Semiring::F2 => reader
@@ -1620,9 +1631,9 @@ impl Protocol for SparseMatMul<'_> {
                     }
                 }
             }
-            let mut readers = readers_by_source(&delivered[w]);
+            let mut readers = readers_by_source(n, &delivered[w]);
             for v in 0..n {
-                let Some(reader) = readers.get_mut(&v) else {
+                let Some(reader) = readers[v].as_mut() else {
                     continue; // no nonzeros from v (empty payloads unsent)
                 };
                 let bound = (owned[v].len() * owned[w].len()) as u64;
@@ -1697,11 +1708,9 @@ impl Protocol for SparseMatMul<'_> {
         let delivered = BalancedRouter.route(&demand, session)?;
 
         for (v, packets) in delivered.iter().enumerate() {
-            let mut readers = readers_by_source(packets);
-            for w in 0..n {
-                let Some(reader) = readers.get_mut(&w) else {
-                    continue;
-                };
+            // Sources in ascending order; players with no surviving
+            // partials sent nothing.
+            for reader in readers_by_source(n, packets).iter_mut().flatten() {
                 let bound = (owned[v].len() * d) as u64;
                 let count = reader
                     .read_bits(count_width(bound))

@@ -57,7 +57,6 @@ pub mod spec;
 
 pub use cache::{CacheStats, TranscriptCache};
 pub use server::{
-    encode_record, fnv64, FaultStats, JobOutcome, JobResult, ServeError, Server, ServerConfig,
-    ServerStats,
+    encode_record, FaultStats, JobOutcome, JobResult, ServeError, Server, ServerConfig, ServerStats,
 };
 pub use spec::{JobSpec, SpecParseError};

@@ -47,6 +47,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clique_core::registry::{self, InputKind, ProtocolRun, RunOptions};
+use clique_core::sim::hash::{fnv1a64, Fnv1a};
 use clique_core::sim::transport::FaultPlan;
 use clique_core::sim::{par, Metrics, SimError};
 
@@ -504,7 +505,7 @@ impl Server {
                         Some(next_eligible.map_or(job.next_wave, |w| w.min(job.next_wave)));
                     continue;
                 }
-                let shard = (fnv64(job.key.as_bytes()) % workers as u64) as usize;
+                let shard = (fnv1a64(job.key.as_bytes()) % workers as u64) as usize;
                 if shards[shard].len() < batch_size {
                     shards[shard].push(slot);
                     scheduled += 1;
@@ -711,7 +712,7 @@ fn attempt(
 ) -> Result<String, ServeError> {
     let fault = config
         .chaos
-        .map(|plan| plan.salted(fnv64(key.as_bytes()) ^ u64::from(attempt_no)));
+        .map(|plan| plan.salted(fnv1a64(key.as_bytes()) ^ u64::from(attempt_no)));
     let run = match catch_unwind(AssertUnwindSafe(|| run_registry(spec, fault))) {
         Ok(run) => run?,
         Err(payload) => {
@@ -822,20 +823,14 @@ fn validate(spec: &JobSpec) -> Result<(), ServeError> {
 /// digest, the flat ledger, and an FNV-1a digest of the full phase trail
 /// (so the record pins every per-phase ledger row without storing it).
 pub fn encode_record(output: &str, metrics: &Metrics) -> String {
-    let mut trail = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            trail ^= u64::from(b);
-            trail = trail.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut trail = Fnv1a::new();
     for phase in &metrics.phases {
-        mix(phase.label.as_bytes());
-        mix(&phase.rounds.to_le_bytes());
-        mix(&phase.bits.to_le_bytes());
-        mix(&phase.messages.to_le_bytes());
-        mix(&phase.max_link_bits_per_round.to_le_bytes());
-        mix(&[u8::from(phase.strict_rounds)]);
+        trail.write(phase.label.as_bytes());
+        trail.write_u64(phase.rounds);
+        trail.write_u64(phase.bits);
+        trail.write_u64(phase.messages);
+        trail.write_u64(phase.max_link_bits_per_round);
+        trail.write(&[u8::from(phase.strict_rounds)]);
     }
     format!(
         "{{\"output\":{},\"rounds\":{},\"total_bits\":{},\"messages\":{},\
@@ -846,28 +841,40 @@ pub fn encode_record(output: &str, metrics: &Metrics) -> String {
         metrics.messages,
         metrics.max_link_bits_per_round,
         metrics.phases.len(),
-        trail
+        trail.finish()
     )
-}
-
-/// FNV-1a, the shard function: fast, dependency-free and stable across
-/// platforms (so a given key always lands on the same worker).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clique_core::sim::transport::INJECTABLE_FAULTS;
+    use clique_core::sim::transport::{frame, INJECTABLE_FAULTS};
+    use clique_core::sim::BitString;
 
     fn mst_spec(n: usize, seed: u64) -> JobSpec {
         JobSpec::weighted("mst", "weighted_random_tree", n, 8, 7, seed)
+    }
+
+    #[test]
+    fn shared_fnv1a_keeps_digests_shards_and_checksums_byte_identical() {
+        // The standard vectors are pinned in `clique_sim::hash`. Values
+        // recorded from the per-call-site FNV-1a loops the shared
+        // helper replaced: a record's phase digest, a shard hash and a
+        // transport frame checksum.
+        let spec = mst_spec(10, 0x5EED);
+        let record = Server::run_direct(&spec).unwrap();
+        assert!(
+            record.ends_with("\"phases\":2,\"phase_digest\":\"03e3e1de3e9380ee\"}"),
+            "{record}"
+        );
+        assert_eq!(
+            fnv1a64(spec.canonical_json().as_bytes()),
+            0x6093_bda5_1233_ee82
+        );
+        let framed = frame(&BitString::from_bits(0xABCD, 16));
+        let mut header = framed.reader();
+        assert_eq!(header.read_bits(32), Some(16));
+        assert_eq!(header.read_bits(64), Some(0x8613_f64d_a90b_27f9));
     }
 
     #[test]

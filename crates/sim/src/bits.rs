@@ -424,16 +424,26 @@ impl<'a, W: Word> BitReader<'a, W> {
     ///
     /// Returns `None` (without advancing) if fewer than `len` bits remain.
     pub fn read_words(&mut self, len: usize) -> Option<Vec<W>> {
+        self.read_bitstring(len).map(BitString::into_backing)
+    }
+
+    /// Reads the next `len` bits as a new [`BitString`], one lane at a time
+    /// (at most two word operations per `W::BITS` bits, whatever the
+    /// cursor's alignment).
+    ///
+    /// Returns `None` (without advancing) if fewer than `len` bits remain.
+    pub fn read_bitstring(&mut self, len: usize) -> Option<BitString<W>> {
         if self.pos + len > self.bits.len() {
             return None;
         }
-        let mut out = Vec::with_capacity(len.div_ceil(W::BITS));
+        let mut out = BitString::with_capacity(len);
         let mut remaining = len;
         while remaining > 0 {
             let take = remaining.min(W::BITS);
-            out.push(self.read_word_bits(take));
+            out.words.push(self.read_word_bits(take));
             remaining -= take;
         }
+        out.len = len;
         Some(out)
     }
 
@@ -655,6 +665,53 @@ mod tests {
     fn push_words_and_read_words_round_trip() {
         push_words_round_trip::<u64>();
         push_words_round_trip::<u128>();
+    }
+
+    /// `read_bitstring` at every start offset and length around one lane,
+    /// checked against the bit-at-a-time path.
+    fn read_bitstring_matches_bitwise<W: Word>() {
+        let source: BitString<W> = (0..4 * W::BITS + 7).map(|i| (i * 5) % 7 < 3).collect();
+        let lens = [
+            0usize,
+            1,
+            W::BITS - 1,
+            W::BITS,
+            W::BITS + 1,
+            2 * W::BITS + 3,
+        ];
+        for offset in [0usize, 1, 5, W::BITS - 1, W::BITS, W::BITS + 1] {
+            for &len in &lens {
+                let mut r = source.reader();
+                for _ in 0..offset {
+                    r.read_bit().expect("offset within source");
+                }
+                let mut per_bit = BitString::<W>::new();
+                let mut bitwise = r.clone();
+                for _ in 0..len {
+                    per_bit.push_bit(bitwise.read_bit().expect("len within source"));
+                }
+                let got = r.read_bitstring(len).expect("len within source");
+                assert_eq!(got, per_bit, "offset {offset}, len {len}");
+                assert_eq!(got.words().len(), len.div_ceil(W::BITS));
+                assert_eq!(r.position(), offset + len);
+            }
+        }
+        let mut r = source.reader();
+        r.read_bits(3);
+        assert_eq!(r.read_bitstring(source.len()), None);
+        assert_eq!(r.position(), 3);
+        assert_eq!(
+            r.read_bitstring(source.len() - 3).map(|b| b.len()),
+            Some(source.len() - 3)
+        );
+        assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn read_bitstring_is_word_level_and_exact() {
+        read_bitstring_matches_bitwise::<u64>();
+        read_bitstring_matches_bitwise::<u128>();
+        read_bitstring_matches_bitwise::<DefaultLane>();
     }
 
     #[test]

@@ -78,6 +78,7 @@
 pub mod arena;
 pub mod bits;
 pub mod engine;
+pub mod hash;
 pub mod lane;
 pub mod linalg;
 pub mod metrics;

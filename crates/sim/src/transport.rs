@@ -68,6 +68,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::bits::BitString;
+use crate::hash::Fnv1a;
 use crate::model::{CliqueConfig, SimError};
 use crate::node::{Inbox, NodeId, Outbox};
 use crate::phase::{PhaseInbox, PhaseOutbox};
@@ -227,9 +228,6 @@ impl fmt::Display for TransportFault {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Bits of the integrity header a [`frame`]d message carries: a 32-bit
 /// payload bit-length plus a 64-bit FNV-1a checksum.
 pub const FRAME_HEADER_BITS: usize = 96;
@@ -239,14 +237,10 @@ pub const FRAME_HEADER_BITS: usize = 96;
 /// `len`) plus its bit length. Hashing the canonical bytes, not the packed
 /// backing words, keeps the digest independent of the lane width.
 fn payload_checksum(payload: &BitString) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in payload.to_le_bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    for byte in (payload.len() as u64).to_le_bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.write(&payload.to_le_bytes());
+    hash.write_u64(payload.len() as u64);
+    hash.finish()
 }
 
 /// Wraps a payload in integrity framing: 32 length bits, 64 checksum bits,
@@ -361,12 +355,10 @@ impl FaultPlan {
     /// while staying reproducible.
     #[must_use]
     pub fn salted(&self, salt: u64) -> Self {
-        let mut mixed = self.seed ^ FNV_OFFSET;
-        for byte in salt.to_le_bytes() {
-            mixed = (mixed ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
+        let mut mixed = Fnv1a::with_seed(self.seed);
+        mixed.write_u64(salt);
         Self {
-            seed: mixed,
+            seed: mixed.finish(),
             rate_ppm: self.rate_ppm,
             kinds: self.kinds,
         }
@@ -388,13 +380,11 @@ impl FaultPlan {
             return None;
         }
         let receiver_code = receiver.map_or(u64::MAX, |dst| dst.index() as u64);
-        let mut mixed = self.seed ^ FNV_OFFSET;
+        let mut mixed = Fnv1a::with_seed(self.seed);
         for coordinate in [round, sender.index() as u64, receiver_code, occurrence] {
-            for byte in coordinate.to_le_bytes() {
-                mixed = (mixed ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            }
+            mixed.write_u64(coordinate);
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(mixed);
+        let mut rng = ChaCha8Rng::seed_from_u64(mixed.finish());
         if rng.gen::<u64>() % 1_000_000 >= u64::from(self.rate_ppm) {
             return None;
         }
