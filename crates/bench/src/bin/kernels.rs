@@ -9,8 +9,6 @@
 //!   bool-at-a-time reference `matmul_f2_scalar`, at `d ∈ {64, 128, 256}`,
 //!   once per lane width (`u64` and `u128`; `--lane {64,128}` restricts the
 //!   sweep to one width);
-//! * the cache-blocked Four-Russians kernel against the retained
-//!   single-table (unblocked) walk, at `d ∈ {256, 512, 1024}`;
 //! * the counting-semiring product of 0/1 matrices (the local kernel of the
 //!   `SemiringMatMul`/`TriangleCount` protocols): the word-parallel
 //!   AND+popcount path against the schoolbook `u64` triple loop, at the
@@ -291,49 +289,6 @@ fn bench_counting_parallel(
     }
 }
 
-struct BlockedRow {
-    d: usize,
-    unblocked_ns: f64,
-    blocked_ns: f64,
-}
-
-impl BlockedRow {
-    fn speedup(&self) -> f64 {
-        self.unblocked_ns / self.blocked_ns
-    }
-}
-
-/// Benches the cache-blocked Four-Russians kernel against the retained
-/// single-table (unblocked) walk. Single worker, per the baseline
-/// convention: the row isolates the tiling, not the pool.
-fn bench_four_russians_blocked(
-    d: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> BlockedRow {
-    let a = random_matrix(rng, d);
-    let b = random_matrix(rng, d);
-
-    // Correctness gate: the blocked and unblocked kernels must agree bit
-    // for bit before anything is timed.
-    assert_eq!(
-        a.mul_f2_four_russians(&b),
-        a.mul_f2_four_russians_unblocked(&b),
-        "blocked Four-Russians disagrees with the unblocked kernel at d={d}"
-    );
-
-    BlockedRow {
-        d,
-        unblocked_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_four_russians_unblocked(black_box(&b)));
-        }),
-        blocked_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
-        }),
-    }
-}
-
 struct CircuitRow {
     assignments: usize,
     sequential_ns: f64,
@@ -440,13 +395,6 @@ fn main() {
             });
         }
     }
-    let blocked_rows: Vec<BlockedRow> = [256usize, 512, 1024]
-        .iter()
-        .map(|&d| {
-            eprintln!("benchmarking blocked four-russians d={d} …");
-            bench_four_russians_blocked(d, budget_ms, max_reps, &mut rng)
-        })
-        .collect();
     let mut strassen_rows: Vec<StrassenRow> = Vec::new();
     for &lane in lanes {
         for &d in &[2048usize, 4096] {
@@ -495,18 +443,6 @@ fn main() {
             row.four_russians_ns,
             row.speedup(),
             if i + 1 < matmul_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"four_russians_blocked\": [\n");
-    for (i, row) in blocked_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"d\": {}, \"unblocked_ns\": {:.0}, \"blocked_ns\": {:.0}, \"speedup_blocked_vs_unblocked\": {:.2}}}{}\n",
-            row.d,
-            row.unblocked_ns,
-            row.blocked_ns,
-            row.speedup(),
-            if i + 1 < blocked_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -567,16 +503,14 @@ fn main() {
         .iter()
         .find(|r| r.d == 256)
         .expect("d=256 row");
-    let b512 = blocked_rows.iter().find(|r| r.d == 512).expect("d=512 row");
     eprintln!(
-        "packed matmul speedup at d=256 (u{} lanes): {:.1}x; counting popcount speedup: {:.1}x; parallel counting speedup ({} workers on {} cores): {:.1}x; blocked four-russians at d=512: {:.2}x; evaluate_batch speedup: {:.1}x",
+        "packed matmul speedup at d=256 (u{} lanes): {:.1}x; counting popcount speedup: {:.1}x; parallel counting speedup ({} workers on {} cores): {:.1}x; evaluate_batch speedup: {:.1}x",
         d256.lane,
         d256.speedup(),
         c256.speedup(),
         p256.threads,
         host_parallelism,
         p256.speedup(),
-        b512.speedup(),
         circuit_row.speedup()
     );
     if smoke {

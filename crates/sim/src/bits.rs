@@ -4,7 +4,7 @@
 //! *bits* per link per round, so all message accounting in this workspace is
 //! done at bit granularity. [`BitString`] is an append-only bit vector with a
 //! cursor-based reader ([`BitReader`]); it is the payload type used by both
-//! the low-level round engine and the high-level phase engine.
+//! strict rounds and bulk-synchronous phases.
 //!
 //! The backing storage is generic over the machine-word lane
 //! ([`Word`], default [`DefaultLane`]): bits are packed
@@ -67,21 +67,8 @@ impl<W: Word> BitString<W> {
         }
     }
 
-    /// Creates an empty bit string reusing `backing` (cleared, capacity
-    /// kept) as storage — the constructor [`BufferArena`] hands recycled
-    /// buffers back through.
-    ///
-    /// [`BufferArena`]: crate::arena::BufferArena
-    pub fn from_recycled(mut backing: Vec<W>) -> Self {
-        backing.clear();
-        Self {
-            words: backing,
-            len: 0,
-        }
-    }
-
-    /// Consumes the bit string, returning its backing word buffer (so the
-    /// allocation can be recycled via [`Self::from_recycled`]).
+    /// Consumes the bit string, returning its backing word buffer (bits
+    /// past `len` in the last word are zero).
     pub fn into_backing(self) -> Vec<W> {
         self.words
     }
@@ -778,18 +765,6 @@ mod tests {
         assert_eq!(narrow.len(), wide.len());
         assert_eq!(narrow.to_bools(), wide.to_bools());
         assert_eq!(narrow.to_le_bytes(), wide.to_le_bytes());
-    }
-
-    #[test]
-    fn recycled_backing_behaves_like_fresh() {
-        let mut bs = BitString::<u64>::from_bools(&[true; 130]);
-        bs.push_bits(0xAB, 8);
-        let backing = bs.into_backing();
-        assert!(backing.capacity() >= 3);
-        let mut reused = BitString::from_recycled(backing);
-        assert!(reused.is_empty());
-        reused.push_bits(0xCD, 8);
-        assert_eq!(reused, BitString::from_bits(0xCD, 8));
     }
 
     #[test]

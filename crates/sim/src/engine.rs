@@ -5,16 +5,19 @@
 //! exactly: in each round a player may put at most `b` bits on each of its
 //! links (unicast) or write a single message of at most `b` bits on the
 //! blackboard (broadcast). It is the engine of record for round complexity
-//! claims; the more convenient [`PhaseEngine`](crate::phase::PhaseEngine)
-//! charges rounds with the same accounting but lets algorithms hand over
-//! arbitrarily long logical messages.
+//! claims; the more convenient phases of
+//! [`Session::exchange`](crate::session::Session::exchange) charge rounds
+//! with the same accounting but let algorithms hand over arbitrarily long
+//! logical messages.
+//!
+//! The engine runs over a [`Session`] of its own, which supplies the model,
+//! the ledger, the worker-count override and the transport.
 
-use crate::arena::{ArenaStats, BufferArena};
-use crate::metrics::{Metrics, RunReport};
+use crate::metrics::{Charge, RunReport};
 use crate::model::{CliqueConfig, SimError};
 use crate::node::{validate_outbox, Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
 use crate::par;
-use crate::transport::Transport;
+use crate::session::Session;
 
 /// Synchronous round-by-round executor for a homogeneous set of players.
 ///
@@ -61,9 +64,9 @@ use crate::transport::Transport;
 /// ```
 #[derive(Debug)]
 pub struct RoundEngine<A> {
-    config: CliqueConfig,
+    /// Model, ledger, worker override and transport.
+    session: Session,
     nodes: Vec<A>,
-    metrics: Metrics,
     round: u64,
     started: bool,
     /// Messages delivered at the start of the next round, indexed by receiver.
@@ -75,79 +78,56 @@ pub struct RoundEngine<A> {
     outboxes: Vec<Outbox>,
     /// Scratch for [`validate_outbox`]'s duplicate-destination check.
     seen: Vec<bool>,
-    /// Backing storage reclaimed from consumed inbox payloads, redistributed
-    /// to the per-node outbox pools between rounds (see [`Outbox::payload`]).
-    arena: BufferArena,
-    /// Per-engine worker-count override; `None` uses the default
-    /// resolution (see [`par::workers`]).
-    threads: Option<usize>,
-    /// The message-delivery backend; accounting happens before delivery,
-    /// so the ledger is identical under every backend.
-    transport: Box<dyn Transport>,
 }
 
 impl<A: NodeAlgorithm> RoundEngine<A> {
-    /// Creates an engine over `nodes`, one per player.
+    /// Creates an engine over `nodes`, one per player, on a fresh
+    /// [`Session`] (process default transport and worker count).
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != config.n`.
     pub fn new(config: CliqueConfig, nodes: Vec<A>) -> Self {
+        Self::with_session(Session::new(config), nodes)
+    }
+
+    /// Creates an engine over `nodes` that records into `session`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len()` differs from the session's `n`.
+    pub(crate) fn with_session(session: Session, nodes: Vec<A>) -> Self {
+        let n = session.n();
         assert_eq!(
             nodes.len(),
-            config.n,
+            n,
             "expected {} node algorithms, got {}",
-            config.n,
+            n,
             nodes.len()
         );
-        let n = config.n;
         Self {
-            config,
+            session,
             nodes,
-            metrics: Metrics::new(),
             round: 0,
             started: false,
             next_inboxes: vec![Inbox::empty(n); n],
             prev_inboxes: vec![Inbox::empty(n); n],
             outboxes: vec![Outbox::new(); n],
             seen: Vec::with_capacity(n),
-            arena: BufferArena::new(),
-            threads: None,
-            transport: crate::transport::default_transport(),
         }
     }
 
-    /// Replaces the message-delivery backend. Transports never change
-    /// transcripts (see [`transport`](crate::transport)); the knob only
-    /// swaps delivery mechanics.
-    pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
-        self.transport = transport;
+    /// The session the engine runs over: model, ledger, worker count and
+    /// transport.
+    pub fn session(&self) -> &Session {
+        &self.session
     }
 
-    /// The message-delivery backend in use.
-    pub fn transport(&self) -> &dyn Transport {
-        self.transport.as_ref()
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &CliqueConfig {
-        &self.config
-    }
-
-    /// Overrides the worker count used to step node algorithms in parallel
-    /// (`None` restores the default resolution). Transcripts, metrics and
-    /// validation are identical at every worker count; the knob only
-    /// trades wall-clock time.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
-
-    /// The worker count the next round will use: an explicit override
-    /// (per-engine, else [`par::set_threads`]) is honored as given; the
-    /// ambient default engages only from [`par::AMBIENT_MIN_ITEMS`]
-    /// players up, so small simulations skip the per-round spawn overhead.
-    pub fn threads(&self) -> usize {
-        par::workers(self.threads, self.config.n, par::AMBIENT_MIN_ITEMS)
+    /// Mutable access to the engine's session, e.g. to set its worker count
+    /// or transport before running. Parallelism and transports never
+    /// change transcripts, metrics or validation.
+    pub fn session_mut(&mut self) -> &mut Session {
+        &mut self.session
     }
 
     /// Read access to the node algorithms (e.g. to extract outputs).
@@ -158,11 +138,6 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
     /// Mutable access to the node algorithms.
     pub fn nodes_mut(&mut self) -> &mut [A] {
         &mut self.nodes
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Consumes the engine, returning the node algorithms.
@@ -181,11 +156,10 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
     /// (bandwidth, duplicate messages, topology, …). The engine state is not
     /// rolled back on error.
     pub fn step(&mut self) -> Result<bool, SimError> {
-        let n = self.config.n;
-        let workers = self.threads();
+        let workers = self.session.threads();
         if !self.started {
             self.started = true;
-            let config = &self.config;
+            let config = &self.session.config;
             par::for_each_mut(&mut self.nodes, workers, |i, node| {
                 let ctx = NodeCtx {
                     id: NodeId::new(i),
@@ -199,19 +173,10 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
         // Double-buffer swap: `prev_inboxes` now holds this round's
         // deliveries; the buffer consumed last round is cleared in place and
         // becomes the delivery target, so no inbox vector is reallocated —
-        // and a silent round touches nothing at all. Clearing also reclaims
-        // the consumed payloads' backing storage into the engine arena,
-        // which is then redistributed (serially, in fixed order) to the
-        // per-node outbox pools so nodes can build this round's payloads
-        // in recycled buffers via [`Outbox::payload`].
+        // and a silent round touches nothing at all.
         std::mem::swap(&mut self.next_inboxes, &mut self.prev_inboxes);
         for inbox in &mut self.next_inboxes {
-            inbox.recycle_into(&mut self.arena);
-        }
-        let mut next_pool = 0usize;
-        while let Some(backing) = self.arena.take_backing() {
-            self.outboxes[next_pool % n].stash_backing(backing);
-            next_pool += 1;
+            inbox.clear();
         }
 
         // Collect outboxes into the per-node scratch. Each player's round is
@@ -221,7 +186,7 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
         // NodeId order afterwards, keeping transcripts bit-identical at any
         // worker count.
         {
-            let config = &self.config;
+            let config = &self.session.config;
             let round = self.round;
             let inboxes = &self.prev_inboxes;
             par::for_each_zip_mut(
@@ -244,28 +209,25 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
         // order. The ledger is computed from the outbox *before* the
         // transport sees it, so no delivery backend can change what the
         // round charges.
-        let mut bits = 0u64;
-        let mut messages = 0u64;
-        let mut max_link = 0u64;
-        for i in 0..n {
+        let session = &mut self.session;
+        let mut total = Charge::default();
+        for (i, outbox) in self.outboxes.iter_mut().enumerate() {
             let sender = NodeId::new(i);
-            let outbox = &mut self.outboxes[i];
-            let sent = validate_outbox(sender, outbox, &self.config, true, &mut self.seen)?;
-            bits += sent;
-            for (_, msg) in &outbox.unicasts {
-                max_link = max_link.max(msg.len() as u64);
-                messages += 1;
-            }
-            if let Some(msg) = &outbox.broadcast {
-                max_link = max_link.max(msg.len() as u64);
-                messages += self.config.topology.degree(sender, n) as u64;
-            }
-            self.transport
-                .deliver_round(&self.config, sender, outbox, &mut self.next_inboxes)
+            total.add(validate_outbox(
+                sender,
+                outbox,
+                &session.config,
+                &mut self.seen,
+            )?);
+            session
+                .transport
+                .deliver_round(&session.config, sender, outbox, &mut self.next_inboxes)
                 .map_err(|fault| fault.at_round(self.round))?;
         }
 
-        self.metrics.record_round(bits, messages, max_link);
+        session
+            .metrics
+            .record_round(total.bits, total.messages, total.max_load);
         self.round += 1;
 
         Ok(self.nodes.iter().all(NodeAlgorithm::halted) && self.in_flight_empty())
@@ -280,14 +242,14 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, SimError> {
         if self.nodes.iter().all(NodeAlgorithm::halted) && self.in_flight_empty() {
             return Ok(RunReport {
-                metrics: self.metrics.clone(),
+                metrics: self.session.metrics.clone(),
                 completed: true,
             });
         }
         for _ in 0..max_rounds {
             if self.step()? {
                 return Ok(RunReport {
-                    metrics: self.metrics.clone(),
+                    metrics: self.session.metrics.clone(),
                     completed: true,
                 });
             }
@@ -297,19 +259,6 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
 
     fn in_flight_empty(&self) -> bool {
         self.next_inboxes.iter().all(Inbox::is_empty)
-    }
-
-    /// Aggregated reuse counters of the per-node payload pools: how many
-    /// [`Outbox::payload`] acquisitions were served from recycled backings
-    /// versus fresh allocations.
-    pub fn arena_stats(&self) -> ArenaStats {
-        let mut total = self.arena.stats();
-        for outbox in &self.outboxes {
-            let s = outbox.arena_stats();
-            total.served_fresh += s.served_fresh;
-            total.served_reused += s.served_reused;
-        }
-        total
     }
 }
 
@@ -400,7 +349,7 @@ mod tests {
         let mut engine = RoundEngine::new(cfg, vec![Chatterbox, Chatterbox]);
         let err = engine.run(3).unwrap_err();
         assert_eq!(err, SimError::RoundLimitExceeded { limit: 3 });
-        assert_eq!(engine.metrics().rounds, 3);
+        assert_eq!(engine.session().rounds(), 3);
     }
 
     /// Relay along a path topology: node 0 forwards a token to node 1, which
@@ -487,66 +436,6 @@ mod tests {
         let _ = RoundEngine::new(cfg, vec![Chatterbox, Chatterbox]);
     }
 
-    /// Two nodes ping-pong a counter, building payloads either from the
-    /// outbox arena or from fresh allocations.
-    struct PingPong {
-        use_arena: bool,
-        remaining: u64,
-    }
-
-    impl NodeAlgorithm for PingPong {
-        fn round(&mut self, ctx: &NodeCtx<'_>, _inbox: &Inbox, outbox: &mut Outbox) {
-            if self.remaining == 0 {
-                return;
-            }
-            self.remaining -= 1;
-            let peer = NodeId::new(1 - ctx.id.index());
-            let mut msg = if self.use_arena {
-                outbox.payload()
-            } else {
-                BitString::new()
-            };
-            msg.push_bits(self.remaining, 8);
-            outbox.send(peer, msg);
-        }
-
-        fn halted(&self) -> bool {
-            self.remaining == 0
-        }
-    }
-
-    #[test]
-    fn arena_payloads_are_reused_and_never_change_the_transcript() {
-        let run = |use_arena: bool| {
-            let cfg = CliqueConfig::unicast(2, 8);
-            let nodes = vec![
-                PingPong {
-                    use_arena,
-                    remaining: 6,
-                },
-                PingPong {
-                    use_arena,
-                    remaining: 6,
-                },
-            ];
-            let mut engine = RoundEngine::new(cfg, nodes);
-            let report = engine.run(20).unwrap();
-            (report, engine.metrics().clone(), engine.arena_stats())
-        };
-        let (fresh_report, fresh_metrics, fresh_stats) = run(false);
-        let (arena_report, arena_metrics, arena_stats) = run(true);
-        assert_eq!(fresh_report, arena_report);
-        assert_eq!(fresh_metrics, arena_metrics);
-        // Nodes that never opt in never touch the pools...
-        assert_eq!(fresh_stats.total(), 0);
-        // ...and opted-in payloads are served from recycled backings once
-        // the first round's messages have been consumed.
-        assert!(
-            arena_stats.served_reused > 0,
-            "expected recycled payload buffers, got {arena_stats:?}"
-        );
-    }
-
     #[test]
     fn worker_count_never_changes_the_transcript() {
         let inputs: Vec<bool> = (0..13).map(|i| i % 3 == 0).collect();
@@ -560,11 +449,11 @@ mod tests {
                 })
                 .collect();
             let mut engine = RoundEngine::new(cfg, nodes);
-            engine.set_threads(Some(threads));
-            assert_eq!(engine.threads(), threads);
+            engine.session_mut().set_threads(Some(threads));
+            assert_eq!(engine.session().threads(), threads);
             let report = engine.run(5).unwrap();
             let results: Vec<Option<bool>> = engine.nodes().iter().map(|n| n.result).collect();
-            (report, engine.metrics().clone(), results)
+            (report, engine.session().metrics().clone(), results)
         };
         let baseline = run(1);
         for threads in [2, 3, 8] {

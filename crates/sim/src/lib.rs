@@ -18,32 +18,33 @@
 //! [`outcome::RunOutcome`] with the full round/bit ledger.
 //! [`protocol::Runner::sweep`] measures a protocol across an `(n, b)` grid.
 //!
-//! Underneath, two execution engines do the accounting — a [`Session`]
-//! fronts both:
+//! Underneath, one execution core does the accounting: the [`Session`]
+//! owns the model, the ledger, the worker-count override and the
+//! transport, and runs two kinds of steps:
 //!
-//! * [`engine::RoundEngine`] — strict, round-by-round execution of a
+//! * bulk-synchronous phases ([`session::Session::exchange`]) carrying
+//!   arbitrarily long logical messages, charged `ceil(max link load / b)`
+//!   rounds; the accounting is identical to chunking every long message
+//!   into `b`-bit pieces;
+//! * strict rounds on the [`engine::RoundEngine`], one
 //!   [`node::NodeAlgorithm`] per player, rejecting any message longer than
 //!   `b` bits. Use it (via [`session::Session::run_nodes`]) when the
 //!   per-round behaviour itself is the object of study.
-//! * [`phase::PhaseEngine`] — bulk-synchronous phases carrying arbitrarily
-//!   long logical messages, charged `ceil(max link load / b)` rounds
-//!   ([`session::Session::exchange`]); the accounting is identical to
-//!   chunking every long message into `b`-bit pieces.
 //!
 //! Player-local work runs on a deterministic scoped worker pool ([`par`]):
-//! the round engine steps node algorithms concurrently and merges outboxes
-//! in ascending [`node::NodeId`] order, the phase engine validates senders
-//! concurrently, and the [`linalg`] products split output rows across
-//! workers — transcripts, ledgers and outputs are bit-identical at every
-//! worker count (knob: [`par::set_threads`], `CLIQUE_THREADS`, or the
-//! per-engine `set_threads`).
+//! strict rounds step node algorithms concurrently and merge outboxes in
+//! ascending [`node::NodeId`] order, phases validate senders concurrently,
+//! and the [`linalg`] products split output rows across workers —
+//! transcripts, ledgers and outputs are bit-identical at every worker count
+//! (knob: [`par::set_threads`], `CLIQUE_THREADS`, or
+//! [`Session::set_threads`]).
 //!
-//! Message delivery itself is pluggable: both engines hand validated
+//! Message delivery itself is pluggable: both kinds of step hand validated
 //! outboxes to a [`transport::Transport`] backend (zero-copy in-memory by
 //! default, mpsc-channel ownership transfer as a cross-check), and because
 //! all accounting happens before delivery, *the transport never changes
 //! transcripts* (knob: [`transport::set_default_kind`], `CLIQUE_TRANSPORT`,
-//! or the per-engine `set_transport`). Delivery can also *fail*, typed:
+//! or [`Session::set_transport`]). Delivery can also *fail*, typed:
 //! [`transport::FaultyTransport`] injects a seeded [`transport::FaultPlan`]
 //! of drops, bit flips, duplications and truncations, detected through
 //! per-message integrity framing and surfaced as
@@ -75,7 +76,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bits;
 pub mod engine;
 pub mod hash;
@@ -93,7 +93,6 @@ pub mod transport;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use crate::arena::{ArenaStats, BufferArena};
     pub use crate::bits::{bits_for_universe, BitReader, BitString};
     pub use crate::engine::RoundEngine;
     pub use crate::lane::{DefaultLane, Word};
@@ -104,7 +103,7 @@ pub mod prelude {
     };
     pub use crate::node::{Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
     pub use crate::outcome::RunOutcome;
-    pub use crate::phase::{PhaseEngine, PhaseInbox, PhaseOutbox};
+    pub use crate::phase::{PhaseInbox, PhaseOutbox};
     pub use crate::protocol::{Protocol, Runner, SweepPoint};
     pub use crate::session::{NodeRun, Session};
     pub use crate::transport::{
@@ -113,7 +112,6 @@ pub mod prelude {
     };
 }
 
-pub use arena::{ArenaStats, BufferArena};
 pub use bits::BitString;
 pub use lane::{DefaultLane, Word};
 pub use linalg::BitMatrix;
@@ -121,7 +119,6 @@ pub use metrics::{Metrics, RunReport};
 pub use model::{CliqueConfig, CliqueConfigBuilder, CommMode, SimError};
 pub use node::NodeId;
 pub use outcome::RunOutcome;
-pub use phase::PhaseEngine;
 pub use protocol::{Protocol, Runner, SweepPoint};
 pub use session::{NodeRun, Session};
 pub use transport::{

@@ -16,9 +16,7 @@
 //!   combinations per block, then handle 8 columns of `A` per table lookup.
 //!   The tables are built in *tiles* of several blocks
 //!   ([`M4R_TILE_BYTES`]) so each output row is loaded and stored once per
-//!   tile instead of once per block — the unblocked single-table walk is
-//!   kept as [`BitMatrix::mul_f2_four_russians_unblocked`] for comparison
-//!   (the `kernels` bench bin reports the ratio).
+//!   tile instead of once per block.
 //!
 //! [`BitMatrix::mul_f2`] dispatches between them (Four Russians from
 //! dimension 256 up). On top of the dispatcher sits
@@ -84,12 +82,12 @@ const M4R_BLOCK: usize = 8;
 /// applied to every output row in one pass, so the output matrix is
 /// streamed once per *tile* instead of once per *block*, bounding the hot
 /// working set independent of the matrix dimension. 64 KiB is the tested
-/// constant: the `probe_tile_sizes` ignored test sweeps tile sizes against
-/// the unblocked walk, and on this single-core container every size from
-/// 16 KiB to 256 KiB measures within noise of the unblocked kernel up to
-/// `d = 2048` (hardware prefetch covers the streaming output passes), while
-/// ≥ 512 KiB tiles measure clearly slower; 64 KiB keeps the tables inside
-/// a typical per-core L2 on wider hosts. The constant only selects an
+/// constant: the `probe_tile_sizes` ignored test sweeps tile sizes, and on
+/// a single-core host every size from 16 KiB to 256 KiB measured
+/// within noise of the former single-table walk up to `d = 2048` (hardware
+/// prefetch covers the streaming output passes), while ≥ 512 KiB tiles
+/// measured clearly slower; 64 KiB keeps the tables inside a typical
+/// per-core L2 on wider hosts. The constant only selects an
 /// execution schedule, never a different result.
 pub const M4R_TILE_BYTES: usize = 64 * 1024;
 
@@ -503,28 +501,6 @@ impl<W: Word> BitMatrix<W> {
         out
     }
 
-    /// The pre-tiling Four-Russians walk (one table at a time, streaming
-    /// the whole output matrix per block). Kept as the baseline the
-    /// `kernels` bench bin compares the blocked kernel against; results are
-    /// bit-identical to [`Self::mul_f2_four_russians`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_four_russians_unblocked(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if self.rows == 0 || rhs.rows == 0 || rhs.words_per_row == 0 {
-            return out;
-        }
-        self.mul_f2_m4r_range(rhs, 0, &mut out.data);
-        out
-    }
-
     /// Builds the 256-entry XOR-combination table of the `M4R_BLOCK` rows
     /// of `rhs` starting at row `base` into `table` (`256 * w` words).
     /// Entries are built incrementally — `table[idx] = table[idx without
@@ -540,28 +516,6 @@ impl<W: Word> BitMatrix<W> {
             let b_row = (base + low) * w;
             for wi in 0..w {
                 table[idx * w + wi] = table[rest * w + wi] ^ rhs.data[b_row + wi];
-            }
-        }
-    }
-
-    /// The unblocked Four-Russians kernel restricted to output rows
-    /// `row0..`: one table at a time, every output row touched per block.
-    fn mul_f2_m4r_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
-        let w = rhs.words_per_row;
-        let chunk_rows = out_chunk.len() / w;
-        let mut table = vec![W::ZERO; (1 << M4R_BLOCK) * w];
-        for block in 0..rhs.rows.div_ceil(M4R_BLOCK) {
-            let base = block * M4R_BLOCK;
-            let size = M4R_BLOCK.min(rhs.rows - base);
-            Self::m4r_build_table(rhs, base, size, &mut table);
-            for r in 0..chunk_rows {
-                let idx = self.extract_row_bits(row0 + r, base, size);
-                if idx != 0 {
-                    let out_row = &mut out_chunk[r * w..(r + 1) * w];
-                    for (o, &t) in out_row.iter_mut().zip(&table[idx * w..(idx + 1) * w]) {
-                        *o ^= t;
-                    }
-                }
             }
         }
     }
@@ -593,8 +547,8 @@ impl<W: Word> BitMatrix<W> {
         let tile = tile.clamp(1, blocks);
         // Output rows are swept in chunks sized to stay L1-resident across
         // every table of the tile, so each table pass is a tight sequential
-        // sweep (the same inner-loop shape as the unblocked kernel) while
-        // the output chunk is loaded from cache, not memory, per table.
+        // sweep while the output chunk is loaded from cache, not memory, per
+        // table.
         let row_tile = (M4R_ROW_TILE_BYTES / (w * W::BYTES).max(1)).max(1);
         let mut tables = vec![W::ZERO; tile * table_words];
         let mut b0 = 0usize;
@@ -1389,32 +1343,21 @@ mod tests {
             let reps = (64 * 1024 * 1024 / (d * d / 8)).clamp(3, 50);
             // Interleave the contenders across many short passes so slow
             // drift on a noisy host biases every variant equally.
-            let variants: &[Option<usize>] = &[None, Some(1), Some(2), Some(4), Some(8), Some(16)];
-            let mut totals = vec![0f64; variants.len()];
+            let tiles = [1usize, 2, 4, 8, 16];
+            let mut totals = vec![0f64; tiles.len()];
             for _ in 0..reps {
-                for (v, variant) in variants.iter().enumerate() {
+                for (v, &tile) in tiles.iter().enumerate() {
                     out.iter_mut().for_each(|o| *o = 0);
                     let start = std::time::Instant::now();
-                    match variant {
-                        None => a.mul_f2_m4r_range(&b, 0, &mut out),
-                        Some(tile) => a.mul_f2_m4r_tiled_range(&b, 0, &mut out, *tile),
-                    }
+                    a.mul_f2_m4r_tiled_range(&b, 0, &mut out, tile);
                     totals[v] += start.elapsed().as_nanos() as f64;
                     std::hint::black_box(&out);
                 }
             }
-            for (v, variant) in variants.iter().enumerate() {
-                let label = match variant {
-                    None => "unblocked".to_owned(),
-                    Some(tile) => {
-                        format!(
-                            "tile={tile} ({} KiB)",
-                            tile * (1 << M4R_BLOCK) * w * 8 / 1024
-                        )
-                    }
-                };
+            for (v, &tile) in tiles.iter().enumerate() {
                 println!(
-                    "d={d} {label}: {:.0} ns",
+                    "d={d} tile={tile} ({} KiB): {:.0} ns",
+                    tile * (1 << M4R_BLOCK) * w * 8 / 1024,
                     totals[v] / f64::from(reps as u32)
                 );
             }
@@ -1497,11 +1440,6 @@ mod tests {
                 expected,
                 "four russians {ra}x{c}x{cb}"
             );
-            assert_eq!(
-                a.mul_f2_four_russians_unblocked(&b),
-                expected,
-                "unblocked four russians {ra}x{c}x{cb}"
-            );
             assert_eq!(a.mul_f2(&b), expected, "dispatch {ra}x{c}x{cb}");
         }
     }
@@ -1513,7 +1451,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_four_russians_matches_unblocked_above_threshold() {
+    fn blocked_four_russians_matches_scalar_above_threshold() {
         // Above FOUR_RUSSIANS_MIN_DIM several tiles are in play; rectangular
         // shapes exercise partial last blocks and partial last tiles.
         for (ra, c, cb, seed) in [
@@ -1524,7 +1462,7 @@ mod tests {
             let b = pseudo_random::<u64>(c, cb, seed + 100);
             assert_eq!(
                 a.mul_f2_four_russians(&b),
-                a.mul_f2_four_russians_unblocked(&b),
+                scalar_product(&a, &b),
                 "{ra}x{c}x{cb}"
             );
         }

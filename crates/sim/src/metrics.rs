@@ -1,4 +1,5 @@
-//! Round and bit accounting shared by the round engine and the phase engine.
+//! Round and bit accounting shared by strict rounds and bulk-synchronous
+//! phases.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -19,7 +20,15 @@ pub struct Metrics {
     /// `k` receivers counts as `m` blackboard bits in a broadcast model and
     /// `m·k` link bits in a unicast model).
     pub total_bits: u64,
-    /// Total number of messages placed on the network.
+    /// Total number of messages placed on the network. The two execution
+    /// paths count differently:
+    ///
+    /// * a strict round ([`crate::engine::RoundEngine`]) counts every
+    ///   unicast, zero-length ones included, and each broadcast once per
+    ///   receiving neighbour;
+    /// * a phase ([`crate::session::Session::exchange`]) counts each
+    ///   non-empty payload once: a unicast, or a broadcast however many
+    ///   neighbours receive it.
     pub messages: u64,
     /// Maximum number of bits carried by a single link in a single round.
     pub max_link_bits_per_round: u64,
@@ -93,6 +102,29 @@ impl fmt::Display for Metrics {
             "{} rounds, {} bits, {} messages",
             self.rounds, self.total_bits, self.messages
         )
+    }
+}
+
+/// One sender's share of a round's or phase's ledger entry, summed over
+/// senders in ascending [`NodeId`](crate::node::NodeId) order.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Charge {
+    /// Payload bits placed on the network.
+    pub bits: u64,
+    /// Messages placed on the network (see [`Metrics::messages`]).
+    pub messages: u64,
+    /// The heaviest single-link load: the longest message of a strict
+    /// round, the largest per-destination aggregate (unicast) or the
+    /// blackboard length (broadcast) of a phase.
+    pub max_load: u64,
+}
+
+impl Charge {
+    /// Adds another sender's charge.
+    pub fn add(&mut self, other: Charge) {
+        self.bits += other.bits;
+        self.messages += other.messages;
+        self.max_load = self.max_load.max(other.max_load);
     }
 }
 

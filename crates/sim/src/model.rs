@@ -253,6 +253,29 @@ impl CliqueConfig {
             CommMode::Broadcast => (self.n as u64) * self.bandwidth as u64,
         }
     }
+
+    /// The destination checks every unicast passes, in either engine:
+    /// unicast is allowed by the mode, `dst` is a player other than
+    /// `sender`, and the topology links the two.
+    pub(crate) fn check_unicast(&self, sender: NodeId, dst: NodeId) -> Result<(), SimError> {
+        if self.mode == CommMode::Broadcast {
+            Err(SimError::UnicastInBroadcastModel { sender })
+        } else if dst.index() >= self.n {
+            Err(SimError::InvalidNode {
+                node: dst,
+                n: self.n,
+            })
+        } else if dst == sender {
+            Err(SimError::SelfMessage { node: sender })
+        } else if !self.topology.connected(sender, dst) {
+            Err(SimError::NotAnEdge {
+                sender,
+                receiver: dst,
+            })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Builder for [`CliqueConfig`], obtained from [`CliqueConfig::builder`].
@@ -419,8 +442,8 @@ pub enum SimError {
     SelfMessage { node: NodeId },
     /// Two messages were sent on the same link in the same round.
     DuplicateMessage { sender: NodeId, receiver: NodeId },
-    /// A message exceeded the per-round link bandwidth (low-level engine
-    /// only; the phase engine chunks long messages automatically).
+    /// A message exceeded the per-round link bandwidth (strict rounds
+    /// only; phases chunk long messages automatically).
     BandwidthExceeded {
         sender: NodeId,
         receiver: Option<NodeId>,

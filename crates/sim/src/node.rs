@@ -4,9 +4,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::arena::{ArenaStats, BufferArena};
 use crate::bits::BitString;
-use crate::model::{CliqueConfig, CommMode};
+use crate::metrics::Charge;
+use crate::model::{CliqueConfig, CommMode, SimError};
 
 /// Identifier of a player (node) in the model, in `0..n`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,26 +117,12 @@ impl Inbox {
         *slot = Some(message);
     }
 
-    /// Empties the inbox, returning the backing storage of consumed
-    /// payloads to `arena` for reuse. Owned (unicast) payloads are always
-    /// reclaimed; a shared (broadcast) payload is reclaimed by whichever
-    /// inbox drops the last [`Arc`] reference.
-    pub(crate) fn recycle_into(&mut self, arena: &mut BufferArena) {
-        if self.occupied == 0 {
-            return;
+    /// Empties the inbox, keeping its slot vector for reuse.
+    pub(crate) fn clear(&mut self) {
+        if self.occupied > 0 {
+            self.messages.fill(None);
+            self.occupied = 0;
         }
-        for slot in &mut self.messages {
-            match slot.take() {
-                Some(Payload::Owned(bits)) => arena.recycle(bits),
-                Some(Payload::Shared(shared)) => {
-                    if let Ok(bits) = Arc::try_unwrap(shared) {
-                        arena.recycle(bits);
-                    }
-                }
-                None => {}
-            }
-        }
-        self.occupied = 0;
     }
 
     /// The message received from `sender` this round, if any.
@@ -175,35 +161,12 @@ impl Inbox {
 pub struct Outbox {
     pub(crate) unicasts: Vec<(NodeId, BitString)>,
     pub(crate) broadcast: Option<BitString>,
-    /// Recycled payload backings, refilled by the engine from consumed
-    /// inbox messages between rounds (see [`Outbox::payload`]).
-    arena: BufferArena,
 }
 
 impl Outbox {
     /// Creates an empty outbox.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Takes an empty [`BitString`] to build a payload in, reusing the
-    /// backing storage of a previously delivered message when one is
-    /// pooled. Purely an allocation optimisation — a payload built here is
-    /// indistinguishable from a freshly constructed one, so transcripts
-    /// never depend on whether nodes opt in.
-    pub fn payload(&mut self) -> BitString {
-        self.arena.acquire()
-    }
-
-    /// Moves a recycled backing into this outbox's pool (engine-side
-    /// refill between rounds).
-    pub(crate) fn stash_backing(&mut self, backing: Vec<crate::lane::DefaultLane>) {
-        self.arena.recycle_backing(backing);
-    }
-
-    /// Reuse counters of this outbox's payload pool.
-    pub(crate) fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
     }
 
     /// Queues a unicast message to `dst`.
@@ -264,8 +227,10 @@ pub trait NodeAlgorithm: Send {
     }
 }
 
-/// Validates an outbox against the model rules, returning the number of
-/// payload bits it will place on the network.
+/// Validates a strict-round outbox against the model rules and returns
+/// its ledger charge: every unicast is a message (zero-length ones
+/// included), a broadcast is one message per receiving neighbour, and the
+/// busiest link carries the longest message.
 ///
 /// `seen` is caller-provided scratch (reset here), so per-round validation
 /// does not allocate.
@@ -273,81 +238,63 @@ pub(crate) fn validate_outbox(
     sender: NodeId,
     outbox: &Outbox,
     config: &CliqueConfig,
-    strict_bandwidth: bool,
     seen: &mut Vec<bool>,
-) -> Result<u64, crate::model::SimError> {
-    use crate::model::SimError;
-
+) -> Result<Charge, SimError> {
     let n = config.n;
-    if config.mode == CommMode::Broadcast && !outbox.unicasts.is_empty() {
-        return Err(SimError::UnicastInBroadcastModel { sender });
-    }
+    let within_bandwidth = |receiver: Option<NodeId>, msg: &BitString| {
+        if msg.len() > config.bandwidth {
+            return Err(SimError::BandwidthExceeded {
+                sender,
+                receiver,
+                bits: msg.len(),
+                bandwidth: config.bandwidth,
+            });
+        }
+        Ok(msg.len() as u64)
+    };
     seen.clear();
     seen.resize(n, false);
-    let mut bits_on_network = 0u64;
+    let mut charge = Charge::default();
     for (dst, msg) in &outbox.unicasts {
-        if dst.index() >= n {
-            return Err(SimError::InvalidNode { node: *dst, n });
-        }
-        if *dst == sender {
-            return Err(SimError::SelfMessage { node: sender });
-        }
-        if seen[dst.index()] {
+        config.check_unicast(sender, *dst)?;
+        if std::mem::replace(&mut seen[dst.index()], true) {
             return Err(SimError::DuplicateMessage {
                 sender,
                 receiver: *dst,
             });
         }
-        seen[dst.index()] = true;
-        if !config.topology.connected(sender, *dst) {
-            return Err(SimError::NotAnEdge {
-                sender,
-                receiver: *dst,
-            });
-        }
-        if strict_bandwidth && msg.len() > config.bandwidth {
-            return Err(SimError::BandwidthExceeded {
-                sender,
-                receiver: Some(*dst),
-                bits: msg.len(),
-                bandwidth: config.bandwidth,
-            });
-        }
-        bits_on_network += msg.len() as u64;
+        let len = within_bandwidth(Some(*dst), msg)?;
+        charge.add(Charge {
+            bits: len,
+            messages: 1,
+            max_load: len,
+        });
     }
     if let Some(msg) = &outbox.broadcast {
-        if strict_bandwidth && msg.len() > config.bandwidth {
-            return Err(SimError::BandwidthExceeded {
-                sender,
-                receiver: None,
-                bits: msg.len(),
-                bandwidth: config.bandwidth,
-            });
-        }
-        // In the blackboard (broadcast) model a message is written once; in a
-        // unicast model a broadcast occupies every outgoing link.
-        bits_on_network += match config.mode {
-            CommMode::Broadcast => msg.len() as u64,
-            CommMode::Unicast => {
-                msg.len() as u64 * config.topology.neighbors(sender, n).len() as u64
-            }
+        let len = within_bandwidth(None, msg)?;
+        let receivers = config.topology.degree(sender, n) as u64;
+        // In the blackboard (broadcast) model a message is written once; in
+        // a unicast model a broadcast occupies every outgoing link.
+        let bits = match config.mode {
+            CommMode::Broadcast => len,
+            CommMode::Unicast => len * receivers,
         };
+        charge.add(Charge {
+            bits,
+            messages: receivers,
+            max_load: len,
+        });
     }
-    Ok(bits_on_network)
+    Ok(charge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SimError;
 
-    fn validate(
-        sender: NodeId,
-        outbox: &Outbox,
-        config: &CliqueConfig,
-        strict: bool,
-    ) -> Result<u64, SimError> {
-        validate_outbox(sender, outbox, config, strict, &mut Vec::new())
+    /// The bits an outbox charges, or its first model violation.
+    fn validate(sender: NodeId, outbox: &Outbox, config: &CliqueConfig) -> Result<u64, SimError> {
+        validate_outbox(sender, outbox, config, &mut Vec::new()).map(|charge| charge.bits)
     }
 
     #[test]
@@ -374,8 +321,7 @@ mod tests {
         inbox.insert_shared(NodeId::new(2), Arc::new(BitString::from_bits(1, 1)));
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox.from(NodeId::new(2)).unwrap().len(), 1);
-        let mut arena = BufferArena::new();
-        inbox.recycle_into(&mut arena);
+        inbox.clear();
         assert!(inbox.is_empty());
         assert_eq!(inbox.len(), 0);
     }
@@ -395,7 +341,7 @@ mod tests {
         let cfg = CliqueConfig::broadcast(4, 8);
         let mut out = Outbox::new();
         out.send(NodeId::new(1), BitString::from_bits(1, 1));
-        let err = validate(NodeId::new(0), &out, &cfg, true).unwrap_err();
+        let err = validate(NodeId::new(0), &out, &cfg).unwrap_err();
         assert!(matches!(err, SimError::UnicastInBroadcastModel { .. }));
     }
 
@@ -405,7 +351,7 @@ mod tests {
         let mut out = Outbox::new();
         out.send(NodeId::new(0), BitString::new());
         assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
+            validate(NodeId::new(0), &out, &cfg),
             Err(SimError::SelfMessage { .. })
         ));
 
@@ -413,28 +359,27 @@ mod tests {
         out.send(NodeId::new(1), BitString::new());
         out.send(NodeId::new(1), BitString::new());
         assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
+            validate(NodeId::new(0), &out, &cfg),
             Err(SimError::DuplicateMessage { .. })
         ));
 
         let mut out = Outbox::new();
         out.send(NodeId::new(9), BitString::new());
         assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
+            validate(NodeId::new(0), &out, &cfg),
             Err(SimError::InvalidNode { .. })
         ));
     }
 
     #[test]
-    fn validate_bandwidth_strict_and_lenient() {
+    fn validate_rejects_messages_over_bandwidth() {
         let cfg = CliqueConfig::unicast(4, 2);
         let mut out = Outbox::new();
         out.send(NodeId::new(1), BitString::from_bits(7, 3));
         assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
+            validate(NodeId::new(0), &out, &cfg),
             Err(SimError::BandwidthExceeded { .. })
         ));
-        assert_eq!(validate(NodeId::new(0), &out, &cfg, false), Ok(3));
     }
 
     #[test]
@@ -443,10 +388,10 @@ mod tests {
         let mut out = Outbox::new();
         out.broadcast(BitString::from_bits(0b101, 3));
         // 3 bits to each of the 4 neighbours.
-        assert_eq!(validate(NodeId::new(0), &out, &cfg, true), Ok(12));
+        assert_eq!(validate(NodeId::new(0), &out, &cfg), Ok(12));
         // In the blackboard model the same message is only written once.
         let cfg_b = CliqueConfig::broadcast(5, 8);
-        assert_eq!(validate(NodeId::new(0), &out, &cfg_b, true), Ok(3));
+        assert_eq!(validate(NodeId::new(0), &out, &cfg_b), Ok(3));
     }
 
     #[test]
@@ -457,7 +402,7 @@ mod tests {
         let mut out = Outbox::new();
         out.send(NodeId::new(2), BitString::from_bits(1, 1));
         assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
+            validate(NodeId::new(0), &out, &cfg),
             Err(SimError::NotAnEdge { .. })
         ));
     }

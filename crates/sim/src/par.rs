@@ -20,10 +20,12 @@
 //!    suite under `CLIQUE_THREADS=1` and again under the default),
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Engines additionally accept a per-instance override (e.g.
-//! [`RoundEngine::set_threads`](crate::engine::RoundEngine::set_threads)),
-//! which takes precedence over all of the above for that instance and keeps
-//! tests comparing thread counts free of global state.
+//! Sessions and runners additionally accept a per-instance override
+//! ([`Session::set_threads`](crate::session::Session::set_threads),
+//! [`Runner::with_threads`](crate::protocol::Runner::with_threads)), which
+//! takes precedence over all of the above for that instance and keeps tests
+//! comparing thread counts free of global state. Either override clamps
+//! `Some(0)` to one worker.
 //!
 //! # The determinism contract
 //!
@@ -108,12 +110,12 @@ pub const AMBIENT_MIN_ITEMS: usize = 32;
 
 /// Resolves the worker count for a region of `items` independent work
 /// items: an explicit override (`per_instance`, else the process-wide
-/// [`set_threads`]) is honored as given (capped at one worker per item);
-/// the ambient default ([`default_threads`]) engages only from `min_items`
-/// items up, so small regions skip the spawn overhead entirely.
+/// [`set_threads`]) is honored as given (at least one worker, at most one
+/// per item); the ambient default ([`default_threads`]) engages only from
+/// `min_items` items up, so small regions skip the spawn overhead entirely.
 pub fn workers(per_instance: Option<usize>, items: usize, min_items: usize) -> usize {
     match per_instance.or_else(threads_override) {
-        Some(t) => t.min(items.max(1)),
+        Some(t) => t.clamp(1, items.max(1)),
         None if items >= min_items => default_threads().min(items),
         None => 1,
     }
@@ -364,6 +366,15 @@ mod tests {
                 assert!(len >= 1 && len <= i + 1, "threads={t}");
             }
         }
+    }
+
+    #[test]
+    fn per_instance_zero_clamps_to_one_worker() {
+        // Like the global `set_threads(Some(0))`, a per-instance `Some(0)`
+        // means one worker, never zero.
+        assert_eq!(workers(Some(0), 10, AMBIENT_MIN_ITEMS), 1);
+        assert_eq!(workers(Some(0), 0, AMBIENT_MIN_ITEMS), 1);
+        assert_eq!(workers(Some(0), 1000, 1), 1);
     }
 
     /// The single test that touches the process-wide `OVERRIDE` atomic —

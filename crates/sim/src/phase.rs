@@ -1,29 +1,28 @@
-//! The high-level bulk-synchronous phase engine.
+//! Outboxes, inboxes and per-sender accounting of bulk-synchronous phases.
 //!
 //! Most of the paper's algorithms are naturally described in *phases*: "every
 //! node broadcasts an `O(k log n)`-bit message", "route this balanced demand",
 //! "each player sends its `b`-bit summary to the owner of the heavy gate".
 //! Writing these against the bit-strict [`RoundEngine`](crate::engine) would
 //! force every algorithm to re-implement chunking of long messages into
-//! `b`-bit pieces. [`PhaseEngine`] does this accounting centrally: a phase
-//! delivers arbitrarily long logical messages and is charged
-//! `ceil(max link load / b)` rounds, which is exactly the number of rounds the
-//! chunked execution would take in the respective model.
+//! `b`-bit pieces. [`Session::exchange`](crate::session::Session::exchange)
+//! does this accounting centrally: a phase delivers arbitrarily long logical
+//! messages ([`PhaseOutbox`] in, [`PhaseInbox`] out) and is charged
+//! `ceil(max link load / b)` rounds, which is exactly the number of rounds
+//! the chunked execution would take in the respective model.
 //!
-//! The engine never interprets payloads; information-flow discipline (a node
-//! may only use what it has received) is the responsibility of the protocol
-//! implementation, and the protocol implementations in `clique-core` are
-//! structured so that per-node state is only updated from delivered inboxes.
+//! The session never interprets payloads; information-flow discipline (a
+//! node may only use what it has received) is the responsibility of the
+//! protocol implementation, and the protocol implementations in
+//! `clique-core` are structured so that per-node state is only updated from
+//! delivered inboxes.
 
 use std::sync::Arc;
 
-use crate::arena::{ArenaStats, BufferArena};
 use crate::bits::BitString;
-use crate::metrics::{Metrics, PhaseRecord};
+use crate::metrics::Charge;
 use crate::model::{CliqueConfig, CommMode, SimError};
 use crate::node::NodeId;
-use crate::par;
-use crate::transport::Transport;
 
 /// Logical outgoing data of one node during one phase.
 #[derive(Clone, Debug, Default)]
@@ -73,7 +72,7 @@ pub struct PhaseInbox {
 }
 
 impl PhaseInbox {
-    fn empty(n: usize) -> Self {
+    pub(crate) fn empty(n: usize) -> Self {
         Self {
             broadcasts: vec![None; n],
             unicasts: vec![None; n],
@@ -124,25 +123,6 @@ impl PhaseInbox {
             .filter_map(|(i, m)| m.as_ref().map(|m| (NodeId::new(i), m)))
     }
 
-    /// Empties the inbox, returning the backing storage of consumed
-    /// payloads to `arena`. Unicast payloads are owned and always
-    /// reclaimed; a broadcast payload is reclaimed by whichever inbox
-    /// drops the last [`Arc`] reference.
-    pub(crate) fn recycle_into(&mut self, arena: &mut BufferArena) {
-        for slot in &mut self.broadcasts {
-            if let Some(shared) = slot.take() {
-                if let Ok(bits) = Arc::try_unwrap(shared) {
-                    arena.recycle(bits);
-                }
-            }
-        }
-        for slot in &mut self.unicasts {
-            if let Some(bits) = slot.take() {
-                arena.recycle(bits);
-            }
-        }
-    }
-
     /// Total number of payload bits received.
     pub fn received_bits(&self) -> usize {
         self.broadcasts
@@ -159,81 +139,26 @@ impl PhaseInbox {
     }
 }
 
-/// Bulk-synchronous executor with exact round accounting.
+/// Validates one sender's phase outbox and computes its [`Charge`]: the
+/// heaviest per-destination aggregated load it puts on any link (unicast
+/// model) or its blackboard length (broadcast model), its payload bits, and
+/// one message per non-empty payload. Depends only on the outbox and the
+/// model, so senders are summarized in parallel and merged in ascending
+/// [`NodeId`] order. `dest_load` is caller-provided scratch (reset here).
 ///
-/// # Examples
+/// # Errors
 ///
-/// ```
-/// use clique_sim::prelude::*;
-/// use clique_sim::phase::{PhaseEngine, PhaseOutbox};
-///
-/// # fn main() -> Result<(), clique_sim::model::SimError> {
-/// // Four players, blackboard bandwidth 2 bits/round.
-/// let mut engine = PhaseEngine::new(CliqueConfig::broadcast(4, 2));
-///
-/// // Every node broadcasts a 6-bit value: ceil(6 / 2) = 3 rounds.
-/// let outs: Vec<PhaseOutbox> = (0..4)
-///     .map(|i| {
-///         let mut out = PhaseOutbox::new();
-///         out.broadcast(BitString::from_bits(i as u64, 6));
-///         out
-///     })
-///     .collect();
-/// let inboxes = engine.exchange("announce", outs)?;
-/// assert_eq!(engine.rounds(), 3);
-/// assert_eq!(
-///     inboxes[0].broadcast_from(NodeId::new(3)).unwrap().reader().read_bits(6),
-///     Some(3)
-/// );
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct PhaseEngine {
-    config: CliqueConfig,
-    metrics: Metrics,
-    /// Per-destination load scratch, reused across senders and phases on
-    /// the single-worker path.
-    dest_load: Vec<u64>,
-    /// Per-engine worker-count override; `None` uses the default
-    /// resolution (see [`par::workers`]).
-    threads: Option<usize>,
-    /// The message-delivery backend. Accounting (pass 1) never touches it,
-    /// so the ledger is identical under every backend.
-    transport: Box<dyn Transport>,
-    /// Recycled payload backings (see [`Self::acquire_payload`] /
-    /// [`Self::recycle_inboxes`]). Cloning an engine starts a cold arena.
-    arena: BufferArena,
-}
-
-/// Validation and load accounting of one sender's phase outbox, computed
-/// independently per sender (and therefore in parallel) and merged in
-/// ascending [`NodeId`] order.
-#[derive(Debug, Default)]
-struct SenderSummary {
-    /// Unicast model: the heaviest per-destination aggregated load this
-    /// sender puts on any link. Broadcast model: its blackboard length.
-    max_load: u64,
-    /// Payload bits this sender places on the network.
-    bits: u64,
-    /// Non-empty messages this sender places on the network.
-    messages: u64,
-    /// The first model violation in this outbox, in submission order.
-    error: Option<SimError>,
-}
-
-/// Computes one sender's [`SenderSummary`]. `dest_load` is caller-provided
-/// scratch (reset here) sized to `config.n`.
-fn summarize_outbox(
+/// The first failed destination check, in submission order.
+pub(crate) fn summarize_outbox(
     config: &CliqueConfig,
     sender: NodeId,
     out: &PhaseOutbox,
     dest_load: &mut Vec<u64>,
-) -> SenderSummary {
+) -> Result<Charge, SimError> {
     let n = config.n;
     dest_load.clear();
     dest_load.resize(n, 0);
-    let mut summary = SenderSummary::default();
+    let mut summary = Charge::default();
 
     if let Some(msg) = &out.broadcast {
         let len = msg.len() as u64;
@@ -258,24 +183,7 @@ fn summarize_outbox(
     }
 
     for (dst, msg) in &out.unicasts {
-        let error = if config.mode == CommMode::Broadcast {
-            Some(SimError::UnicastInBroadcastModel { sender })
-        } else if dst.index() >= n {
-            Some(SimError::InvalidNode { node: *dst, n })
-        } else if *dst == sender {
-            Some(SimError::SelfMessage { node: sender })
-        } else if !config.topology.connected(sender, *dst) {
-            Some(SimError::NotAnEdge {
-                sender,
-                receiver: *dst,
-            })
-        } else {
-            None
-        };
-        if error.is_some() {
-            summary.error = error;
-            return summary;
-        }
+        config.check_unicast(sender, *dst)?;
         let len = msg.len() as u64;
         dest_load[dst.index()] += len;
         summary.bits += len;
@@ -289,481 +197,5 @@ fn summarize_outbox(
             summary.max_load = summary.max_load.max(load);
         }
     }
-    summary
-}
-
-impl PhaseEngine {
-    /// Creates a phase engine for the given model, using the process
-    /// default transport (see
-    /// [`transport::default_kind`](crate::transport::default_kind)).
-    pub fn new(config: CliqueConfig) -> Self {
-        Self {
-            config,
-            metrics: Metrics::new(),
-            dest_load: Vec::new(),
-            threads: None,
-            transport: crate::transport::default_transport(),
-            arena: BufferArena::new(),
-        }
-    }
-
-    /// Replaces the message-delivery backend. Transports never change
-    /// transcripts (see [`transport`](crate::transport)); the knob only
-    /// swaps delivery mechanics.
-    pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
-        self.transport = transport;
-    }
-
-    /// The message-delivery backend in use.
-    pub fn transport(&self) -> &dyn Transport {
-        self.transport.as_ref()
-    }
-
-    /// Overrides the worker count used to validate and account phases in
-    /// parallel (`None` restores the default resolution). The ledger, the
-    /// delivered inboxes and error selection are identical at every worker
-    /// count.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
-
-    /// The worker count the next phase will use: an explicit override
-    /// (per-engine, else [`par::set_threads`]) is honored as given; the
-    /// ambient default engages only from [`par::AMBIENT_MIN_ITEMS`]
-    /// players up, so small simulations skip the per-phase spawn overhead.
-    pub fn threads(&self) -> usize {
-        par::workers(self.threads, self.config.n, par::AMBIENT_MIN_ITEMS)
-    }
-
-    /// Consumes the engine, returning the accumulated metrics.
-    pub fn into_metrics(self) -> Metrics {
-        self.metrics
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &CliqueConfig {
-        &self.config
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Rounds charged so far.
-    pub fn rounds(&self) -> u64 {
-        self.metrics.rounds
-    }
-
-    /// Total bits charged so far.
-    pub fn total_bits(&self) -> u64 {
-        self.metrics.total_bits
-    }
-
-    /// Executes one phase: `outs[i]` is node `i`'s outgoing data.
-    ///
-    /// The phase is charged `ceil(L / b)` rounds where `L` is the maximum
-    /// load of any link (unicast) or any node's blackboard message
-    /// (broadcast). An all-silent phase is charged zero rounds.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::UnicastInBroadcastModel`] if a unicast payload is
-    ///   submitted in a broadcast model.
-    /// * [`SimError::InvalidNode`], [`SimError::SelfMessage`],
-    ///   [`SimError::NotAnEdge`] for malformed destinations.
-    /// * [`SimError::TransportFault`] if the transport loses or damages a
-    ///   delivery (the phase is validated and charged before delivery, but
-    ///   the engine state is not rolled back).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outs.len() != config.n`.
-    pub fn exchange(
-        &mut self,
-        label: &str,
-        outs: Vec<PhaseOutbox>,
-    ) -> Result<Vec<PhaseInbox>, SimError> {
-        let n = self.config.n;
-        let b = self.config.bandwidth as u64;
-        assert_eq!(outs.len(), n, "expected {} outboxes, got {}", n, outs.len());
-        let workers = self.threads();
-
-        // Pass 1 — validation and load accounting. Each sender's summary
-        // depends only on its own outbox and the (shared, read-only) model
-        // config, so the summaries are computed on the worker pool (with
-        // one reusable `dest_load` scratch per worker); the merge below
-        // walks them in ascending sender order, which keeps the ledger and
-        // the selected error identical at every worker count.
-        let summaries: Vec<SenderSummary> = if workers > 1 {
-            let config = &self.config;
-            par::map_with(n, workers, Vec::new, |i, dest_load| {
-                summarize_outbox(config, NodeId::new(i), &outs[i], dest_load)
-            })
-        } else {
-            let config = &self.config;
-            let dest_load = &mut self.dest_load;
-            outs.iter()
-                .enumerate()
-                .map(|(i, out)| summarize_outbox(config, NodeId::new(i), out, dest_load))
-                .collect()
-        };
-
-        let mut max_load = 0u64;
-        let mut total_bits = 0u64;
-        let mut messages = 0u64;
-        for summary in summaries {
-            if let Some(error) = summary.error {
-                return Err(error);
-            }
-            max_load = max_load.max(summary.max_load);
-            total_bits += summary.bits;
-            messages += summary.messages;
-        }
-
-        // Pass 2 — delivery through the transport, strictly in ascending
-        // sender order. The ledger was fully computed in pass 1, so the
-        // backend cannot affect the accounting; the default in-memory
-        // backend moves payloads and Arc-shares broadcasts (one allocation
-        // per broadcast, a pointer clone per receiver).
-        let mut inboxes: Vec<PhaseInbox> = (0..n).map(|_| PhaseInbox::empty(n)).collect();
-        for (i, out) in outs.into_iter().enumerate() {
-            self.transport
-                .deliver_phase(&self.config, NodeId::new(i), out, &mut inboxes)
-                .map_err(|fault| fault.at_round(self.metrics.rounds))?;
-        }
-
-        let rounds = max_load.div_ceil(b);
-        self.metrics.record_phase(PhaseRecord {
-            label: label.to_owned().into(),
-            rounds,
-            bits: total_bits,
-            messages,
-            max_link_bits_per_round: max_load.min(b),
-            strict_rounds: false,
-        });
-        Ok(inboxes)
-    }
-
-    /// Convenience wrapper for a pure broadcast phase: node `i` broadcasts
-    /// `messages[i]`. Returns the per-node inboxes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Self::exchange`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `messages.len() != config.n`.
-    pub fn broadcast_all(
-        &mut self,
-        label: &str,
-        messages: &[BitString],
-    ) -> Result<Vec<PhaseInbox>, SimError> {
-        let outs = messages
-            .iter()
-            .map(|m| {
-                let mut out = PhaseOutbox::new();
-                if !m.is_empty() {
-                    // Copy into an arena buffer instead of `m.clone()`, so
-                    // recycled backings (see `recycle_inboxes`) are reused.
-                    let mut payload = self.arena.acquire();
-                    payload.extend_from(m);
-                    out.broadcast(payload);
-                }
-                out
-            })
-            .collect();
-        self.exchange(label, outs)
-    }
-
-    /// Takes an empty payload buffer from the engine's arena, reusing the
-    /// backing storage of a previously recycled message when one is pooled.
-    /// Purely an allocation optimisation: a payload built in an arena
-    /// buffer is indistinguishable from a freshly allocated one, so
-    /// transcripts never depend on whether callers opt in.
-    pub fn acquire_payload(&mut self) -> BitString {
-        self.arena.acquire()
-    }
-
-    /// Returns the backing storage of fully consumed inboxes to the
-    /// engine's arena, to be reused by [`Self::acquire_payload`] and
-    /// [`Self::broadcast_all`]. Call this once a phase's inboxes have been
-    /// read out and are no longer needed.
-    pub fn recycle_inboxes(&mut self, mut inboxes: Vec<PhaseInbox>) {
-        for inbox in &mut inboxes {
-            inbox.recycle_into(&mut self.arena);
-        }
-    }
-
-    /// Reuse counters of the engine's payload arena.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
-    /// Charges additional rounds without moving data, e.g. to account for a
-    /// black-box subroutine whose round cost is known analytically.
-    pub fn charge_rounds(&mut self, label: &str, rounds: u64) {
-        self.metrics.record_phase(PhaseRecord {
-            label: label.to_owned().into(),
-            rounds,
-            bits: 0,
-            messages: 0,
-            max_link_bits_per_round: 0,
-            strict_rounds: false,
-        });
-    }
-
-    /// Merges the metrics of a nested execution into this engine.
-    pub fn absorb_metrics(&mut self, other: &Metrics) {
-        self.metrics.absorb(other);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn broadcast_out(value: u64, width: usize) -> PhaseOutbox {
-        let mut out = PhaseOutbox::new();
-        out.broadcast(BitString::from_bits(value, width));
-        out
-    }
-
-    #[test]
-    fn broadcast_phase_round_accounting() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 4));
-        let outs = vec![
-            broadcast_out(1, 10),
-            broadcast_out(2, 3),
-            PhaseOutbox::new(),
-        ];
-        let inboxes = engine.exchange("test", outs).unwrap();
-        // Longest blackboard message is 10 bits, bandwidth 4 => 3 rounds.
-        assert_eq!(engine.rounds(), 3);
-        // Blackboard bits: 10 + 3.
-        assert_eq!(engine.total_bits(), 13);
-        assert_eq!(
-            inboxes[2]
-                .broadcast_from(NodeId::new(0))
-                .unwrap()
-                .reader()
-                .read_bits(10),
-            Some(1)
-        );
-        assert!(inboxes[0].broadcast_from(NodeId::new(2)).is_none());
-        // A node does not receive its own broadcast.
-        assert!(inboxes[0].broadcast_from(NodeId::new(0)).is_none());
-    }
-
-    #[test]
-    fn silent_phase_costs_nothing() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(2, 1));
-        let outs = vec![PhaseOutbox::new(), PhaseOutbox::new()];
-        engine.exchange("silent", outs).unwrap();
-        assert_eq!(engine.rounds(), 0);
-        assert_eq!(engine.total_bits(), 0);
-    }
-
-    #[test]
-    fn unicast_phase_aggregates_per_destination() {
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(4, 2));
-        let mut out0 = PhaseOutbox::new();
-        out0.send(NodeId::new(1), BitString::from_bits(0b11, 2));
-        out0.send(NodeId::new(1), BitString::from_bits(0b01, 2));
-        out0.send(NodeId::new(2), BitString::from_bits(0b1, 1));
-        let outs = vec![
-            out0,
-            PhaseOutbox::new(),
-            PhaseOutbox::new(),
-            PhaseOutbox::new(),
-        ];
-        let inboxes = engine.exchange("route", outs).unwrap();
-        // Link 0->1 carries 4 bits, bandwidth 2 => 2 rounds.
-        assert_eq!(engine.rounds(), 2);
-        assert_eq!(engine.total_bits(), 5);
-        let agg = inboxes[1].unicast_from(NodeId::new(0)).unwrap();
-        assert_eq!(agg.len(), 4);
-        let mut r = agg.reader();
-        assert_eq!(r.read_bits(2), Some(0b11));
-        assert_eq!(r.read_bits(2), Some(0b01));
-    }
-
-    #[test]
-    fn unicast_broadcast_counts_every_link() {
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(5, 3));
-        let outs = vec![
-            broadcast_out(0b101, 3),
-            PhaseOutbox::new(),
-            PhaseOutbox::new(),
-            PhaseOutbox::new(),
-            PhaseOutbox::new(),
-        ];
-        engine.exchange("bcast-as-unicast", outs).unwrap();
-        assert_eq!(engine.rounds(), 1);
-        assert_eq!(engine.total_bits(), 3 * 4);
-    }
-
-    #[test]
-    fn unicast_rejected_in_broadcast_model() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 2));
-        let mut out = PhaseOutbox::new();
-        out.send(NodeId::new(1), BitString::from_bits(1, 1));
-        let outs = vec![out, PhaseOutbox::new(), PhaseOutbox::new()];
-        assert!(matches!(
-            engine.exchange("bad", outs),
-            Err(SimError::UnicastInBroadcastModel { .. })
-        ));
-    }
-
-    #[test]
-    fn congest_topology_enforced() {
-        use crate::model::AdjacencyTopology;
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let mut engine = PhaseEngine::new(CliqueConfig::congest(3, 2, adj));
-        let mut out = PhaseOutbox::new();
-        out.send(NodeId::new(2), BitString::from_bits(1, 1));
-        let outs = vec![out, PhaseOutbox::new(), PhaseOutbox::new()];
-        assert!(matches!(
-            engine.exchange("bad edge", outs),
-            Err(SimError::NotAnEdge { .. })
-        ));
-    }
-
-    #[test]
-    fn congest_broadcast_reaches_only_neighbors() {
-        use crate::model::AdjacencyTopology;
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let mut engine = PhaseEngine::new(CliqueConfig::congest(3, 8, adj));
-        let outs = vec![broadcast_out(5, 3), PhaseOutbox::new(), PhaseOutbox::new()];
-        let inboxes = engine.exchange("local bcast", outs).unwrap();
-        assert!(inboxes[1].broadcast_from(NodeId::new(0)).is_some());
-        assert!(inboxes[2].broadcast_from(NodeId::new(0)).is_none());
-    }
-
-    #[test]
-    fn broadcast_all_and_charge_rounds() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 1));
-        let msgs = vec![
-            BitString::from_bits(1, 1),
-            BitString::new(),
-            BitString::from_bits(0, 2),
-        ];
-        let inboxes = engine.broadcast_all("announce", &msgs).unwrap();
-        assert_eq!(engine.rounds(), 2);
-        assert!(inboxes[0].broadcast_from(NodeId::new(1)).is_none());
-        engine.charge_rounds("black box", 7);
-        assert_eq!(engine.rounds(), 9);
-        assert_eq!(engine.metrics().phases.len(), 2);
-    }
-
-    #[test]
-    fn received_bits_counts_everything() {
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(3, 4));
-        let mut out0 = PhaseOutbox::new();
-        out0.broadcast(BitString::from_bits(1, 2));
-        out0.send(NodeId::new(1), BitString::from_bits(3, 3));
-        let outs = vec![out0, PhaseOutbox::new(), PhaseOutbox::new()];
-        let inboxes = engine.exchange("mixed", outs).unwrap();
-        assert_eq!(inboxes[1].received_bits(), 5);
-        assert_eq!(inboxes[2].received_bits(), 2);
-        assert_eq!(inboxes[1].unicasts().count(), 1);
-        assert_eq!(inboxes[1].broadcasts().count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 3 outboxes")]
-    fn wrong_outbox_count_panics() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 1));
-        let _ = engine.exchange("bad", vec![PhaseOutbox::new()]);
-    }
-
-    #[test]
-    fn arena_recycling_reuses_buffers_and_never_changes_the_ledger() {
-        let n = 3;
-        let msgs: Vec<BitString> = (0..n)
-            .map(|i| BitString::from_bits(i as u64 + 1, 9))
-            .collect();
-        let digest = |inboxes: &[PhaseInbox]| -> Vec<Vec<(usize, Vec<bool>)>> {
-            inboxes
-                .iter()
-                .map(|inbox| {
-                    inbox
-                        .broadcasts()
-                        .map(|(s, m)| (s.index(), m.to_bools()))
-                        .collect()
-                })
-                .collect()
-        };
-        // Baseline: two phases, inboxes simply dropped.
-        let mut plain = PhaseEngine::new(CliqueConfig::broadcast(n, 2));
-        let first = digest(&plain.broadcast_all("p1", &msgs).unwrap());
-        let second = digest(&plain.broadcast_all("p2", &msgs).unwrap());
-        // Recycling path: inboxes handed back between phases.
-        let mut recycled = PhaseEngine::new(CliqueConfig::broadcast(n, 2));
-        let inboxes = recycled.broadcast_all("p1", &msgs).unwrap();
-        assert_eq!(digest(&inboxes), first);
-        recycled.recycle_inboxes(inboxes);
-        let inboxes = recycled.broadcast_all("p2", &msgs).unwrap();
-        assert_eq!(digest(&inboxes), second);
-        assert_eq!(plain.metrics(), recycled.metrics());
-        assert!(
-            recycled.arena_stats().served_reused > 0,
-            "expected recycled payload buffers, got {:?}",
-            recycled.arena_stats()
-        );
-    }
-
-    #[test]
-    fn worker_count_never_changes_the_ledger() {
-        let n = 9;
-        let run = |threads: usize| {
-            let mut engine = PhaseEngine::new(CliqueConfig::unicast(n, 2));
-            engine.set_threads(Some(threads));
-            let outs: Vec<PhaseOutbox> = (0..n)
-                .map(|i| {
-                    let mut out = PhaseOutbox::new();
-                    out.broadcast(BitString::from_bits(i as u64, 4));
-                    out.send(NodeId::new((i + 1) % n), BitString::from_bits(1, 3));
-                    out.send(NodeId::new((i + 1) % n), BitString::from_bits(2, 2));
-                    out
-                })
-                .collect();
-            let inboxes = engine.exchange("mixed", outs).unwrap();
-            let digest: Vec<(usize, usize)> = inboxes
-                .iter()
-                .map(|inbox| (inbox.received_bits(), inbox.unicasts().count()))
-                .collect();
-            (engine.metrics().clone(), digest)
-        };
-        let baseline = run(1);
-        for threads in [2, 4, 16] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn worker_count_never_changes_error_selection() {
-        // Sender 1 has a self-message *after* a valid unicast; sender 4 has
-        // an invalid node. Serial order reports sender 1's error first.
-        let build = || {
-            let mut outs: Vec<PhaseOutbox> = (0..6).map(|_| PhaseOutbox::new()).collect();
-            outs[1].send(NodeId::new(0), BitString::from_bits(1, 1));
-            outs[1].send(NodeId::new(1), BitString::from_bits(1, 1));
-            outs[4].send(NodeId::new(17), BitString::from_bits(1, 1));
-            outs
-        };
-        for threads in [1usize, 2, 8] {
-            let mut engine = PhaseEngine::new(CliqueConfig::unicast(6, 2));
-            engine.set_threads(Some(threads));
-            let err = engine.exchange("bad", build()).unwrap_err();
-            assert_eq!(
-                err,
-                SimError::SelfMessage {
-                    node: NodeId::new(1)
-                },
-                "threads={threads}"
-            );
-        }
-    }
+    Ok(summary)
 }

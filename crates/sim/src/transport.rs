@@ -1,12 +1,13 @@
-//! Pluggable message-delivery backends for both engines.
+//! Pluggable message-delivery backends for strict rounds and phases.
 //!
 //! A [`Transport`] moves validated payloads from a sender's outbox into the
 //! receivers' inboxes — nothing else. All round/bit accounting is computed
-//! by the engines *before* delivery, from the outbox contents alone, so a
-//! transport physically cannot change the ledger; and because both engines
-//! call [`Transport::deliver_round`] / [`Transport::deliver_phase`] once
-//! per sender in ascending [`NodeId`] order, delivery order (and therefore
-//! the transcript every node observes) is fixed by the engine, not the
+//! by the [`Session`](crate::session::Session) *before* delivery, from the
+//! outbox contents alone, so a transport physically cannot change the
+//! ledger; and because strict rounds and phases both call
+//! [`Transport::deliver_round`] / [`Transport::deliver_phase`] once per
+//! sender in ascending [`NodeId`] order, delivery order (and therefore the
+//! transcript every node observes) is fixed by the simulator, not the
 //! backend. This is the serving-layer invariant: **the transport never
 //! changes transcripts** — swapping backends trades mechanics (zero-copy
 //! sharing vs. ownership transfer), never results.
@@ -16,7 +17,7 @@
 //! * [`InMemoryTransport`] — the default: unicasts are moved into the
 //!   receiving inbox, broadcasts are [`Arc`]-shared (one allocation per
 //!   broadcast, a pointer clone per receiver). This is byte-for-byte the
-//!   delivery path the engines used before the trait existed.
+//!   delivery path the simulator used before the trait existed.
 //! * [`ChannelTransport`] — every payload crosses an [`mpsc`] channel and
 //!   broadcasts are deep-copied per receiver, modelling socket-style
 //!   ownership transfer (the sender's buffer is gone once sent, each
@@ -31,7 +32,7 @@
 //! # Fault injection
 //!
 //! Delivery can fail: [`Transport::deliver_round`] / [`deliver_phase`]
-//! return a [`TransportFault`] that the engines wrap (with the current
+//! return a [`TransportFault`] that the simulator wraps (with the current
 //! round) into [`SimError::TransportFault`] and abort the run — a faulty
 //! delivery is *never* silently absorbed into a transcript. Two sources of
 //! faults exist:
@@ -76,7 +77,7 @@ use crate::phase::{PhaseInbox, PhaseOutbox};
 /// A message-delivery backend.
 ///
 /// Implementations deliver one sender's validated outbox into the inbox
-/// array; the engines call this once per sender in ascending [`NodeId`]
+/// array; the simulator calls this once per sender in ascending [`NodeId`]
 /// order and have already charged the ledger, so a conforming transport
 /// must deliver exactly the submitted payloads to exactly the addressed
 /// receivers (broadcasts to every neighbour of `sender`) and may differ
@@ -93,7 +94,7 @@ pub trait Transport: fmt::Debug + Send {
     ///
     /// Returns a [`TransportFault`] when delivery is lost or damaged (a
     /// real backend failure, or an injected fault detected through the
-    /// integrity framing); the engine aborts the run with
+    /// integrity framing); the simulator aborts the run with
     /// [`SimError::TransportFault`](crate::model::SimError).
     fn deliver_round(
         &mut self,
@@ -118,9 +119,9 @@ pub trait Transport: fmt::Debug + Send {
         inboxes: &mut [PhaseInbox],
     ) -> Result<(), TransportFault>;
 
-    /// Clones the backend for a nested engine (fresh delivery state, same
-    /// mechanics); this is what makes `Box<dyn Transport>` fields of the
-    /// `Clone` engine types work.
+    /// Clones the backend for a nested run (fresh delivery state, same
+    /// mechanics); this is what makes the `Box<dyn Transport>` field of the
+    /// `Clone` type [`Session`](crate::session::Session) work.
     fn clone_box(&self) -> Box<dyn Transport>;
 }
 
@@ -186,7 +187,7 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A delivery failure detected by a [`Transport`]. The engines wrap it with
+/// A delivery failure detected by a [`Transport`]. The simulator wraps it with
 /// the round it hit into
 /// [`SimError::TransportFault`](crate::model::SimError).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,7 +201,7 @@ pub struct TransportFault {
 }
 
 impl TransportFault {
-    /// The engine-level error for a fault observed in `round`.
+    /// The run-level error for a fault observed in `round`.
     pub fn at_round(self, round: u64) -> SimError {
         SimError::TransportFault {
             round,
@@ -432,11 +433,11 @@ fn flip_bit(bits: &BitString, position: usize) -> BitString {
 /// wrapper with an empty plan is byte-identical to the bare inner
 /// transport.
 ///
-/// The schedule's round coordinate is derived from the engines' delivery
-/// discipline (both engines call the transport exactly once per sender per
-/// round/phase, in ascending order), so under the phase engine it counts
-/// *phases*. [`Transport::clone_box`] restarts the schedule: a nested
-/// engine replays the plan from round 0.
+/// The schedule's round coordinate is derived from the delivery discipline
+/// (strict rounds and phases both call the transport exactly once per
+/// sender per round/phase, in ascending order), so in phases it counts
+/// *phases*. [`Transport::clone_box`] restarts the schedule: a nested or
+/// strict-engine run replays the plan from round 0.
 #[derive(Debug)]
 pub struct FaultyTransport {
     plan: FaultPlan,
@@ -548,7 +549,7 @@ impl Transport for FaultyTransport {
     }
 
     /// The same plan over a clone of the inner backend, with the schedule
-    /// restarted at round 0 (nested engines replay the plan from the top).
+    /// restarted at round 0 (nested runs replay the plan from the top).
     fn clone_box(&self) -> Box<dyn Transport> {
         Box::new(Self {
             plan: self.plan,
@@ -787,7 +788,9 @@ impl TransportKind {
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Sets (or with `None` clears) the process-wide default transport that
-/// newly created engines use; per-engine `set_transport` overrides it.
+/// newly opened sessions use; [`Session::set_transport`] overrides it.
+///
+/// [`Session::set_transport`]: crate::session::Session::set_transport
 pub fn set_default_kind(kind: Option<TransportKind>) {
     let value = match kind {
         None => 0,
@@ -797,7 +800,7 @@ pub fn set_default_kind(kind: Option<TransportKind>) {
     OVERRIDE.store(value, Ordering::Relaxed);
 }
 
-/// The backend newly created engines default to: the [`set_default_kind`]
+/// The backend newly opened sessions default to: the [`set_default_kind`]
 /// override if set, else `CLIQUE_TRANSPORT` if it parses (cached after the
 /// first read), else [`TransportKind::InMemory`].
 pub fn default_kind() -> TransportKind {
@@ -829,7 +832,7 @@ mod tests {
     use crate::engine::RoundEngine;
     use crate::model::AdjacencyTopology;
     use crate::node::{NodeAlgorithm, NodeCtx};
-    use crate::phase::PhaseEngine;
+    use crate::session::Session;
 
     #[test]
     fn kind_parsing_and_names() {
@@ -900,10 +903,10 @@ mod tests {
             })
             .collect();
         let mut engine = RoundEngine::new(cfg, nodes);
-        engine.set_transport(transport);
+        engine.session_mut().set_transport(transport);
         engine.run(4).unwrap();
         let digests = engine.nodes().iter().map(|n| n.digest).collect();
-        (engine.metrics().clone(), digests)
+        (engine.session().metrics().clone(), digests)
     }
 
     #[test]
@@ -915,8 +918,8 @@ mod tests {
 
     fn phase_run(transport: Box<dyn Transport>) -> (crate::metrics::Metrics, Vec<Vec<u8>>) {
         let n = 5;
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(n, 2));
-        engine.set_transport(transport);
+        let mut session = Session::new(CliqueConfig::unicast(n, 2));
+        session.set_transport(transport);
         let outs: Vec<PhaseOutbox> = (0..n)
             .map(|i| {
                 let mut out = PhaseOutbox::new();
@@ -926,7 +929,7 @@ mod tests {
                 out
             })
             .collect();
-        let inboxes = engine.exchange("mixed", outs).unwrap();
+        let inboxes = session.exchange("mixed", outs).unwrap();
         let digests = inboxes
             .iter()
             .map(|inbox| {
@@ -942,7 +945,7 @@ mod tests {
                 bytes
             })
             .collect();
-        (engine.metrics().clone(), digests)
+        (session.metrics().clone(), digests)
     }
 
     #[test]
@@ -1055,7 +1058,9 @@ mod tests {
             })
             .collect();
         let mut engine = RoundEngine::new(cfg, nodes);
-        engine.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
+        engine
+            .session_mut()
+            .set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
         let err = engine.run(4).unwrap_err();
         match err {
             crate::model::SimError::TransportFault {
@@ -1072,11 +1077,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_engine_surfaces_injected_faults() {
+    fn session_phases_surface_injected_faults() {
         let plan = FaultPlan::new(11, 1_000_000, &[FaultKind::Drop]);
         let n = 5;
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(n, 2));
-        engine.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
+        let mut session = Session::new(CliqueConfig::unicast(n, 2));
+        session.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
         let outs: Vec<PhaseOutbox> = (0..n)
             .map(|i| {
                 let mut out = PhaseOutbox::new();
@@ -1084,7 +1089,7 @@ mod tests {
                 out
             })
             .collect();
-        let err = engine.exchange("chaos", outs).unwrap_err();
+        let err = session.exchange("chaos", outs).unwrap_err();
         assert!(matches!(
             err,
             crate::model::SimError::TransportFault {
@@ -1120,12 +1125,12 @@ mod tests {
     #[test]
     fn channel_broadcasts_respect_topology() {
         let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let mut engine = PhaseEngine::new(CliqueConfig::congest(3, 8, adj));
-        engine.set_transport(Box::new(ChannelTransport::new()));
+        let mut session = Session::new(CliqueConfig::congest(3, 8, adj));
+        session.set_transport(Box::new(ChannelTransport::new()));
         let mut out = PhaseOutbox::new();
         out.broadcast(BitString::from_bits(5, 3));
         let outs = vec![out, PhaseOutbox::new(), PhaseOutbox::new()];
-        let inboxes = engine.exchange("local bcast", outs).unwrap();
+        let inboxes = session.exchange("local bcast", outs).unwrap();
         assert!(inboxes[1].broadcast_from(NodeId::new(0)).is_some());
         assert!(inboxes[2].broadcast_from(NodeId::new(0)).is_none());
     }

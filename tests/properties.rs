@@ -636,7 +636,7 @@ proptest! {
 
     #[test]
     fn phase_charge_equals_chunked_round_execution(n in 2usize..7, b in 1usize..6, seed in 0u64..500) {
-        // The phase engine's `⌈max link load / b⌉` charge must equal the
+        // A phase's `⌈max link load / b⌉` charge must equal the
         // number of rounds a bit-strict chunked execution of the same phase
         // takes on the round engine, and the payload bits must agree, for
         // random mixed broadcast/unicast phases in both modes.
@@ -684,9 +684,9 @@ proptest! {
                 }
             }
 
-            // Phase-engine charge.
-            let mut engine = PhaseEngine::new(cfg.clone());
-            engine.exchange("mixed phase", outs).unwrap();
+            // Phase charge.
+            let mut session = Session::new(cfg.clone());
+            session.exchange("mixed phase", outs).unwrap();
 
             // Bit-strict chunked replay of the same link loads.
             let nodes: Vec<ChunkedSender> = queues
@@ -699,14 +699,14 @@ proptest! {
                 strict.step().unwrap();
                 rounds += 1;
             }
-            prop_assert_eq!(rounds, engine.rounds(), "mode {}", mode);
-            prop_assert_eq!(strict.metrics().total_bits, engine.total_bits(), "mode {}", mode);
+            prop_assert_eq!(rounds, session.rounds(), "mode {}", mode);
+            prop_assert_eq!(strict.session().total_bits(), session.total_bits(), "mode {}", mode);
         }
     }
 }
 
 /// Replays precomputed per-link loads in `b`-bit chunks on the strict
-/// engine: one chunk per busy link per round, exactly as the phase engine's
+/// engine: one chunk per busy link per round, exactly as a phase's
 /// `⌈max link load / b⌉` accounting assumes.
 struct ChunkedSender {
     /// Per-destination queues with read cursors. In broadcast mode the
