@@ -5,10 +5,10 @@
 //! Measured pairs:
 //!
 //! * packed `BitMatrix` multiplication ([`BitMatrix::mul_f2`], plus the
-//!   word-level and Four-Russians kernels individually) against the retained
-//!   bool-at-a-time reference `matmul_f2_scalar`, at `d ∈ {64, 128, 256}`,
-//!   once per lane width (`u64` and `u128`; `--lane {64,128}` restricts the
-//!   sweep to one width);
+//!   Four-Russians kernel on its own) against the retained bool-at-a-time
+//!   reference `matmul_f2_scalar`, at `d ∈ {64, 128, 256}`;
+//! * a forced depth-1 Strassen split against the Four-Russians kernel it
+//!   bottoms out in, at `d ∈ {2048, 4096}`;
 //! * the counting-semiring product of 0/1 matrices (the local kernel of the
 //!   `SemiringMatMul`/`TriangleCount` protocols): the word-parallel
 //!   AND+popcount path against the schoolbook `u64` triple loop, at the
@@ -27,7 +27,6 @@
 //! cargo run -p clique-bench --release --bin kernels > BENCH_kernels.json
 //! cargo run -p clique-bench --release --bin kernels -- --smoke      # CI smoke
 //! cargo run -p clique-bench --release --bin kernels -- --threads 8  # pool size
-//! cargo run -p clique-bench --release --bin kernels -- --lane 128   # one lane width only
 //! ```
 //!
 //! Every timed result is cross-checked against the scalar oracle before it
@@ -38,9 +37,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use clique_bench::{parse_lane_flag, parse_threads_flag};
+use clique_bench::parse_threads_flag;
 use clique_core::circuits::matmul::{matmul_f2_scalar, matmul_f2_strassen};
-use clique_core::sim::lane::Word;
+use clique_core::sim::lane::{DefaultLane, Word};
 use clique_core::sim::linalg::{BitMatrix, IntMatrix, PAR_MIN_ROWS};
 use clique_core::sim::par;
 use rand::Rng;
@@ -62,23 +61,17 @@ fn time_ns(budget_ms: u64, max_reps: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(reps)
 }
 
-fn random_matrix_lanes<W: Word>(rng: &mut ChaCha8Rng, d: usize) -> BitMatrix<W> {
+fn random_matrix(rng: &mut ChaCha8Rng, d: usize) -> BitMatrix {
     let rows: Vec<Vec<bool>> = (0..d)
         .map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect())
         .collect();
     BitMatrix::from_rows(&rows)
 }
 
-fn random_matrix(rng: &mut ChaCha8Rng, d: usize) -> BitMatrix {
-    random_matrix_lanes(rng, d)
-}
-
 struct MatMulRow {
     d: usize,
-    lane: usize,
     scalar_ns: f64,
     packed_ns: f64,
-    word_ns: f64,
     four_russians_ns: f64,
 }
 
@@ -88,23 +81,17 @@ impl MatMulRow {
     }
 }
 
-fn bench_matmul<W: Word>(
-    d: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> MatMulRow {
-    let a: BitMatrix<W> = random_matrix_lanes(rng, d);
-    let b: BitMatrix<W> = random_matrix_lanes(rng, d);
+fn bench_matmul(d: usize, budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -> MatMulRow {
+    let a = random_matrix(rng, d);
+    let b = random_matrix(rng, d);
     let a_rows = a.to_rows();
     let b_rows = b.to_rows();
 
-    // Correctness gate: all three packed paths must agree with the scalar
-    // oracle on this instance before anything is timed.
-    let expected: BitMatrix<W> = BitMatrix::from_rows(&matmul_f2_scalar(&a_rows, &b_rows));
+    // Correctness gate: both packed paths must agree with the scalar oracle
+    // on this instance before anything is timed.
+    let expected = BitMatrix::from_rows(&matmul_f2_scalar(&a_rows, &b_rows));
     for (name, got) in [
         ("mul_f2", a.mul_f2(&b)),
-        ("mul_f2_word", a.mul_f2_word(&b)),
         ("mul_f2_four_russians", a.mul_f2_four_russians(&b)),
     ] {
         assert_eq!(
@@ -115,7 +102,6 @@ fn bench_matmul<W: Word>(
 
     MatMulRow {
         d,
-        lane: W::BITS,
         scalar_ns: time_ns(budget_ms, max_reps, || {
             black_box(matmul_f2_scalar(black_box(&a_rows), black_box(&b_rows)));
         }),
@@ -123,9 +109,6 @@ fn bench_matmul<W: Word>(
             // One worker: this row isolates packing; threading is measured
             // by the matmul_counting_parallel rows.
             black_box(black_box(&a).mul_f2_with_threads(black_box(&b), 1));
-        }),
-        word_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_word(black_box(&b)));
         }),
         four_russians_ns: time_ns(budget_ms, max_reps, || {
             black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
@@ -135,7 +118,6 @@ fn bench_matmul<W: Word>(
 
 struct StrassenRow {
     d: usize,
-    lane: usize,
     four_russians_ns: f64,
     strassen_ns: f64,
 }
@@ -152,14 +134,9 @@ impl StrassenRow {
 /// run at worse per-bit efficiency than one big Four-Russians pass), above
 /// it the saved block product dominates, which is exactly the measurement
 /// the dispatch constant encodes.
-fn bench_strassen<W: Word>(
-    d: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> StrassenRow {
-    let a: BitMatrix<W> = random_matrix_lanes(rng, d);
-    let b: BitMatrix<W> = random_matrix_lanes(rng, d);
+fn bench_strassen(d: usize, budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -> StrassenRow {
+    let a = random_matrix(rng, d);
+    let b = random_matrix(rng, d);
 
     // Correctness gate: the forced split must agree with the dispatching
     // kernel before anything is timed.
@@ -171,7 +148,6 @@ fn bench_strassen<W: Word>(
 
     StrassenRow {
         d,
-        lane: W::BITS,
         four_russians_ns: time_ns(budget_ms, max_reps, || {
             black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
         }),
@@ -340,7 +316,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut threads_flag: Option<usize> = None;
-    let mut lane_flag: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -349,12 +324,8 @@ fn main() {
                 threads_flag = Some(parse_threads_flag(args.get(i + 1)));
                 i += 1;
             }
-            "--lane" => {
-                lane_flag = Some(parse_lane_flag(args.get(i + 1)));
-                i += 1;
-            }
             arg => {
-                eprintln!("error: unknown flag {arg} (expected --smoke, --threads N or --lane W)");
+                eprintln!("error: unknown flag {arg} (expected --smoke or --threads N)");
                 std::process::exit(2);
             }
         }
@@ -375,36 +346,22 @@ fn main() {
     // baseline comes from a full run.
     let (budget_ms, max_reps) = if smoke { (1, 3) } else { (300, 10_000) };
 
-    // `--lane` restricts the packed-matmul rows to one lane width; by
-    // default both widths are measured (the u128 rows are the lane
-    // baseline, not the default path).
-    let lanes: &[usize] = match lane_flag {
-        Some(64) => &[64],
-        Some(128) => &[128],
-        _ => &[64, 128],
-    };
-
     let mut rng = ChaCha8Rng::seed_from_u64(0xF2F2);
-    let mut matmul_rows: Vec<MatMulRow> = Vec::new();
-    for &lane in lanes {
-        for &d in &[64usize, 128, 256] {
-            eprintln!("benchmarking matmul d={d} (u{lane} lanes) …");
-            matmul_rows.push(match lane {
-                64 => bench_matmul::<u64>(d, budget_ms, max_reps, &mut rng),
-                _ => bench_matmul::<u128>(d, budget_ms, max_reps, &mut rng),
-            });
-        }
-    }
-    let mut strassen_rows: Vec<StrassenRow> = Vec::new();
-    for &lane in lanes {
-        for &d in &[2048usize, 4096] {
-            eprintln!("benchmarking strassen matmul d={d} (u{lane} lanes) …");
-            strassen_rows.push(match lane {
-                64 => bench_strassen::<u64>(d, budget_ms, max_reps, &mut rng),
-                _ => bench_strassen::<u128>(d, budget_ms, max_reps, &mut rng),
-            });
-        }
-    }
+    let matmul_rows: Vec<MatMulRow> = [64usize, 128, 256]
+        .iter()
+        .map(|&d| {
+            eprintln!("benchmarking matmul d={d} …");
+            bench_matmul(d, budget_ms, max_reps, &mut rng)
+        })
+        .collect();
+    let strassen_rows: Vec<StrassenRow> = [2048usize, 4096]
+        .iter()
+        .map(|&d| {
+            eprintln!("benchmarking strassen matmul d={d} …");
+            bench_strassen(d, budget_ms, max_reps, &mut rng)
+        })
+        .collect();
+    let lane = <DefaultLane as Word>::BITS;
     let counting_rows: Vec<CountingRow> = [64usize, 128, 256]
         .iter()
         .map(|&d| {
@@ -434,12 +391,10 @@ fn main() {
     out.push_str("  \"matmul_f2\": [\n");
     for (i, row) in matmul_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"d\": {}, \"lane\": {}, \"scalar_ns\": {:.0}, \"packed_ns\": {:.0}, \"word_ns\": {:.0}, \"four_russians_ns\": {:.0}, \"speedup_packed_vs_scalar\": {:.1}}}{}\n",
+            "    {{\"d\": {}, \"lane\": {lane}, \"scalar_ns\": {:.0}, \"packed_ns\": {:.0}, \"four_russians_ns\": {:.0}, \"speedup_packed_vs_scalar\": {:.1}}}{}\n",
             row.d,
-            row.lane,
             row.scalar_ns,
             row.packed_ns,
-            row.word_ns,
             row.four_russians_ns,
             row.speedup(),
             if i + 1 < matmul_rows.len() { "," } else { "" }
@@ -449,9 +404,8 @@ fn main() {
     out.push_str("  \"matmul_f2_strassen\": [\n");
     for (i, row) in strassen_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"d\": {}, \"lane\": {}, \"four_russians_ns\": {:.0}, \"strassen_ns\": {:.0}, \"speedup_strassen_vs_four_russians\": {:.2}}}{}\n",
+            "    {{\"d\": {}, \"lane\": {lane}, \"four_russians_ns\": {:.0}, \"strassen_ns\": {:.0}, \"speedup_strassen_vs_four_russians\": {:.2}}}{}\n",
             row.d,
-            row.lane,
             row.four_russians_ns,
             row.strassen_ns,
             row.speedup(),
@@ -504,8 +458,7 @@ fn main() {
         .find(|r| r.d == 256)
         .expect("d=256 row");
     eprintln!(
-        "packed matmul speedup at d=256 (u{} lanes): {:.1}x; counting popcount speedup: {:.1}x; parallel counting speedup ({} workers on {} cores): {:.1}x; evaluate_batch speedup: {:.1}x",
-        d256.lane,
+        "packed matmul speedup at d=256: {:.1}x; counting popcount speedup: {:.1}x; parallel counting speedup ({} workers on {} cores): {:.1}x; evaluate_batch speedup: {:.1}x",
         d256.speedup(),
         c256.speedup(),
         p256.threads,

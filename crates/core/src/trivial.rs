@@ -22,6 +22,9 @@ use clique_sim::prelude::*;
 
 use crate::outcome::{Detection, DetectionOutcome};
 
+/// Bits per packed adjacency word.
+const LANE_BITS: usize = <DefaultLane as Word>::BITS;
+
 /// The broadcast-your-neighbourhood protocol: runs in any broadcast-capable
 /// model and answers `H`-subgraph detection by local search on the
 /// reconstructed graph.
@@ -119,7 +122,7 @@ fn read_row_into(matrix: &mut BitMatrix, v: usize, payload: &BitString) {
     let mut reader = payload.reader();
     let take = reader.remaining().min(n);
     if let Some(mut words) = reader.read_words(take) {
-        words.resize(n.div_ceil(<DefaultLane as Word>::BITS), DefaultLane::ZERO);
+        words.resize(n.div_ceil(LANE_BITS), 0);
         matrix.set_row_words(v, &words);
     }
 }

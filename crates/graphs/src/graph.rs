@@ -167,26 +167,18 @@ impl Graph {
     /// Panics if `u` is out of range.
     pub fn adjacency_row_bits(&self, u: usize) -> BitString {
         let n = self.vertex_count();
-        let mut words = vec![DefaultLane::ZERO; n.div_ceil(LANE_BITS)];
+        let mut words = vec![0u64; n.div_ceil(LANE_BITS)];
         for &v in &self.adj[u] {
-            words[v / LANE_BITS] |= DefaultLane::bit(v % LANE_BITS);
+            words[v / LANE_BITS] |= 1 << (v % LANE_BITS);
         }
         BitString::from_words(&words, n)
     }
 
-    /// The full adjacency matrix packed into a [`BitMatrix`] (one lane
-    /// word holds `DefaultLane::BITS` entries), the representation the
+    /// The full adjacency matrix packed into a [`BitMatrix`] (one `u64`
+    /// lane word holds [`Word::BITS`] entries), the representation the
     /// word-parallel `F₂` kernels consume.
     pub fn adjacency_bitmatrix(&self) -> BitMatrix {
-        let n = self.vertex_count();
-        let mut m = BitMatrix::zeros(n, n);
-        for (u, neighbors) in self.adj.iter().enumerate() {
-            let row = m.row_words_mut(u);
-            for &v in neighbors {
-                row[v / LANE_BITS] |= DefaultLane::bit(v % LANE_BITS);
-            }
-        }
-        m
+        self.adjacency_bitmatrix_padded(self.vertex_count())
     }
 
     /// Builds a graph on `m.rows()` vertices from a packed adjacency
@@ -203,9 +195,9 @@ impl Graph {
         for u in 0..n {
             for (wi, &word) in m.row_words(u).iter().enumerate() {
                 let mut bits = word;
-                while bits != DefaultLane::ZERO {
+                while bits != 0 {
                     let v = wi * LANE_BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
+                    bits &= bits - 1;
                     if u != v {
                         g.add_edge(u, v);
                     }
@@ -232,7 +224,7 @@ impl Graph {
         for (u, neighbors) in self.adj.iter().enumerate() {
             let row = m.row_words_mut(u);
             for &v in neighbors {
-                row[v / LANE_BITS] |= DefaultLane::bit(v % LANE_BITS);
+                row[v / LANE_BITS] |= 1 << (v % LANE_BITS);
             }
         }
         m

@@ -6,29 +6,40 @@
 //! cursor-based reader ([`BitReader`]); it is the payload type used by both
 //! strict rounds and bulk-synchronous phases.
 //!
-//! The backing storage is generic over the machine-word lane
-//! ([`Word`], default [`DefaultLane`]): bits are packed
-//! least-significant-first, `W::BITS` per word. The lane width is purely a
-//! local-throughput knob — lengths, encodings and transcripts are identical
-//! at every width (pinned by the cross-width proptests in
-//! `tests/properties.rs`).
+//! The backing storage is a vector of `u64` lane words
+//! ([`DefaultLane`]): bits are packed least-significant-first,
+//! [`Word::BITS`] per word. The packing is never visible in a transcript —
+//! lengths are counted in bits and checksums run over the canonical
+//! little-endian byte serialisation ([`BitString::to_le_bytes`]).
 
 use std::fmt;
 
 use crate::lane::{DefaultLane, Word};
 
+/// Bits per backing word: the one lane-width constant the packed kernels
+/// derive their geometry from.
+pub(crate) const LANE_BITS: usize = <DefaultLane as Word>::BITS;
+
+/// The word whose `bits` low-order bits are set, for `bits` in
+/// `1..=LANE_BITS` (every caller masks a non-empty tail).
+#[inline]
+pub(crate) fn mask_low(bits: usize) -> u64 {
+    debug_assert!((1..=LANE_BITS).contains(&bits));
+    u64::MAX >> (LANE_BITS - bits)
+}
+
 /// An append-only sequence of bits used as a message payload.
 ///
-/// Bits are stored least-significant-first inside `W::BITS`-bit words. The
-/// type supports appending single bits, fixed-width unsigned integers and
-/// whole bit strings, and reading them back in order with a [`BitReader`].
+/// Bits are stored least-significant-first inside `u64` words. The type
+/// supports appending single bits, fixed-width unsigned integers and whole
+/// bit strings, and reading them back in order with a [`BitReader`].
 ///
 /// # Examples
 ///
 /// ```
 /// use clique_sim::bits::BitString;
 ///
-/// let mut msg: BitString = BitString::new();
+/// let mut msg = BitString::new();
 /// msg.push_bits(42, 16);
 /// msg.push_bit(true);
 /// assert_eq!(msg.len(), 17);
@@ -38,22 +49,13 @@ use crate::lane::{DefaultLane, Word};
 /// assert_eq!(reader.read_bit(), Some(true));
 /// assert!(reader.is_exhausted());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitString<W: Word = DefaultLane> {
-    words: Vec<W>,
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct BitString {
+    words: Vec<u64>,
     len: usize,
 }
 
-impl<W: Word> Default for BitString<W> {
-    fn default() -> Self {
-        Self {
-            words: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<W: Word> BitString<W> {
+impl BitString {
     /// Creates an empty bit string.
     pub fn new() -> Self {
         Self::default()
@@ -62,14 +64,14 @@ impl<W: Word> BitString<W> {
     /// Creates an empty bit string with capacity for at least `bits` bits.
     pub fn with_capacity(bits: usize) -> Self {
         Self {
-            words: Vec::with_capacity(bits.div_ceil(W::BITS)),
+            words: Vec::with_capacity(bits.div_ceil(LANE_BITS)),
             len: 0,
         }
     }
 
     /// Consumes the bit string, returning its backing word buffer (bits
     /// past `len` in the last word are zero).
-    pub fn into_backing(self) -> Vec<W> {
+    pub fn into_backing(self) -> Vec<u64> {
         self.words
     }
 
@@ -86,18 +88,15 @@ impl<W: Word> BitString<W> {
 
     /// Creates a bit string from a slice of booleans, one bit per element.
     ///
-    /// Packs `W::BITS` bits per word instead of appending bit by bit.
+    /// Packs a whole word at a time instead of appending bit by bit.
     pub fn from_bools(bits: &[bool]) -> Self {
         let words = bits
-            .chunks(W::BITS)
+            .chunks(LANE_BITS)
             .map(|chunk| {
-                let mut word = W::ZERO;
-                for (i, &bit) in chunk.iter().enumerate() {
-                    if bit {
-                        word |= W::bit(i);
-                    }
-                }
-                word
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (i, &bit)| word | (u64::from(bit) << i))
             })
             .collect();
         Self {
@@ -107,12 +106,12 @@ impl<W: Word> BitString<W> {
     }
 
     /// Creates a bit string of length `len` from packed little-endian words
-    /// (bit `i` is bit `i % W::BITS` of `words[i / W::BITS]`).
+    /// (bit `i` is bit `i % LANE_BITS` of `words[i / LANE_BITS]`).
     ///
     /// # Panics
     ///
     /// Panics if `words` holds fewer than `len` bits.
-    pub fn from_words(words: &[W], len: usize) -> Self {
+    pub fn from_words(words: &[u64], len: usize) -> Self {
         let mut bs = Self::with_capacity(len);
         bs.push_words(words, len);
         bs
@@ -122,9 +121,9 @@ impl<W: Word> BitString<W> {
     pub fn to_bools(&self) -> Vec<bool> {
         let mut out = Vec::with_capacity(self.len);
         for (w, &word) in self.words.iter().enumerate() {
-            let take = (self.len - w * W::BITS).min(W::BITS);
+            let take = (self.len - w * LANE_BITS).min(LANE_BITS);
             for i in 0..take {
-                out.push((word >> i) & W::ONE == W::ONE);
+                out.push((word >> i) & 1 == 1);
             }
         }
         out
@@ -132,7 +131,7 @@ impl<W: Word> BitString<W> {
 
     /// The packed little-endian words backing the bit string. Bits past
     /// `len()` in the last word are zero.
-    pub fn words(&self) -> &[W] {
+    pub fn words(&self) -> &[u64] {
         &self.words
     }
 
@@ -148,14 +147,12 @@ impl<W: Word> BitString<W> {
 
     /// Appends a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        let word_idx = self.len / W::BITS;
-        let bit_idx = self.len % W::BITS;
+        let word_idx = self.len / LANE_BITS;
+        let bit_idx = self.len % LANE_BITS;
         if word_idx == self.words.len() {
-            self.words.push(W::ZERO);
+            self.words.push(0);
         }
-        if bit {
-            self.words[word_idx] |= W::bit(bit_idx);
-        }
+        self.words[word_idx] |= u64::from(bit) << bit_idx;
         self.len += 1;
     }
 
@@ -168,36 +165,21 @@ impl<W: Word> BitString<W> {
     ///
     /// Panics if `width > 64`.
     pub fn push_bits(&mut self, value: u64, width: usize) {
-        assert!(width <= 64, "width {width} exceeds 64 bits");
+        assert!(width <= LANE_BITS, "width {width} exceeds {LANE_BITS} bits");
         if width == 0 {
             return;
         }
-        let value = if width == 64 {
-            value
-        } else {
-            value & ((1u64 << width) - 1)
-        };
-        self.push_word_bits(W::from_u64(value), width);
-    }
-
-    /// Appends the `width` low-order bits of a full lane (`value` must
-    /// already be masked to `width` bits, `width <= W::BITS`).
-    fn push_word_bits(&mut self, value: W, width: usize) {
-        debug_assert!(width <= W::BITS);
-        debug_assert_eq!(value & !W::mask_low(width), W::ZERO);
-        if width == 0 {
-            return;
-        }
-        let word_idx = self.len / W::BITS;
-        let bit_idx = self.len % W::BITS;
-        while self.words.len() * W::BITS < self.len + width {
-            self.words.push(W::ZERO);
+        let value = value & mask_low(width);
+        let word_idx = self.len / LANE_BITS;
+        let bit_idx = self.len % LANE_BITS;
+        while self.words.len() * LANE_BITS < self.len + width {
+            self.words.push(0);
         }
         self.words[word_idx] |= value << bit_idx;
-        if bit_idx + width > W::BITS {
-            // The straddle spills `bit_idx + width - W::BITS` bits into the
-            // next word; the shift amount is `< width <= W::BITS`.
-            self.words[word_idx + 1] |= value >> (W::BITS - bit_idx);
+        if bit_idx + width > LANE_BITS {
+            // The straddle spills `bit_idx + width - LANE_BITS` bits into the
+            // next word; the shift amount is `< width <= LANE_BITS`.
+            self.words[word_idx + 1] |= value >> (LANE_BITS - bit_idx);
         }
         self.len += width;
     }
@@ -211,27 +193,27 @@ impl<W: Word> BitString<W> {
     /// # Panics
     ///
     /// Panics if `words` holds fewer than `len` bits.
-    pub fn push_words(&mut self, words: &[W], len: usize) {
+    pub fn push_words(&mut self, words: &[u64], len: usize) {
         assert!(
-            len <= words.len() * W::BITS,
+            len <= words.len() * LANE_BITS,
             "{len} bits requested from {} words",
             words.len()
         );
-        let full = len / W::BITS;
-        let rem = len % W::BITS;
-        if self.len.is_multiple_of(W::BITS) {
+        let full = len / LANE_BITS;
+        let rem = len % LANE_BITS;
+        if self.len.is_multiple_of(LANE_BITS) {
             // Word-aligned fast path: memcpy the full words.
             self.words.extend_from_slice(&words[..full]);
             if rem > 0 {
-                self.words.push(words[full] & W::mask_low(rem));
+                self.words.push(words[full] & mask_low(rem));
             }
             self.len += len;
         } else {
             for &word in &words[..full] {
-                self.push_word_bits(word, W::BITS);
+                self.push_bits(word, LANE_BITS);
             }
             if rem > 0 {
-                self.push_word_bits(words[full] & W::mask_low(rem), rem);
+                self.push_bits(words[full], rem);
             }
         }
     }
@@ -252,7 +234,7 @@ impl<W: Word> BitString<W> {
     }
 
     /// Appends all bits of `other` (word-at-a-time).
-    pub fn extend_from(&mut self, other: &BitString<W>) {
+    pub fn extend_from(&mut self, other: &BitString) {
         self.push_words(&other.words, other.len);
     }
 
@@ -263,35 +245,34 @@ impl<W: Word> BitString<W> {
     /// Panics if `index >= self.len()`.
     pub fn bit(&self, index: usize) -> bool {
         assert!(index < self.len, "bit index {index} out of range");
-        (self.words[index / W::BITS] >> (index % W::BITS)) & W::ONE == W::ONE
+        (self.words[index / LANE_BITS] >> (index % LANE_BITS)) & 1 == 1
     }
 
     /// Flips the bit at position `index` (used by fault injection; the
-    /// position is a model-level coordinate, so the result is identical at
-    /// every lane width).
+    /// position is a model-level coordinate).
     ///
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
     pub fn toggle_bit(&mut self, index: usize) {
         assert!(index < self.len, "bit index {index} out of range");
-        self.words[index / W::BITS] ^= W::bit(index % W::BITS);
+        self.words[index / LANE_BITS] ^= 1 << (index % LANE_BITS);
     }
 
     /// The bits serialised as little-endian bytes (`ceil(len / 8)` of them,
-    /// zero-padded in the last byte) — the canonical byte order shared by
-    /// every lane width, which checksums and framing are computed over.
+    /// zero-padded in the last byte) — the canonical byte order that
+    /// checksums and framing are computed over.
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.words.len() * W::BYTES);
-        for &word in &self.words {
-            word.extend_le_bytes(&mut bytes);
+        let mut bytes = Vec::with_capacity(self.words.len() * size_of::<u64>());
+        for word in &self.words {
+            bytes.extend_from_slice(&word.to_le_bytes());
         }
         bytes.truncate(self.len.div_ceil(8));
         bytes
     }
 
     /// Returns a cursor for reading the bits back in order.
-    pub fn reader(&self) -> BitReader<'_, W> {
+    pub fn reader(&self) -> BitReader<'_> {
         BitReader { bits: self, pos: 0 }
     }
 
@@ -301,14 +282,14 @@ impl<W: Word> BitString<W> {
     }
 
     /// Concatenates `self` and `other` into a new bit string.
-    pub fn concat(&self, other: &BitString<W>) -> BitString<W> {
+    pub fn concat(&self, other: &BitString) -> BitString {
         let mut out = self.clone();
         out.extend_from(other);
         out
     }
 }
 
-impl<W: Word> fmt::Debug for BitString<W> {
+impl fmt::Debug for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BitString[{} bits: ", self.len)?;
         let shown = self.len.min(64);
@@ -322,7 +303,7 @@ impl<W: Word> fmt::Debug for BitString<W> {
     }
 }
 
-impl<W: Word> fmt::Display for BitString<W> {
+impl fmt::Display for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.len {
             write!(f, "{}", u8::from(self.bit(i)))?;
@@ -331,7 +312,7 @@ impl<W: Word> fmt::Display for BitString<W> {
     }
 }
 
-impl<W: Word> FromIterator<bool> for BitString<W> {
+impl FromIterator<bool> for BitString {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
         let mut bs = BitString::new();
         for bit in iter {
@@ -341,7 +322,7 @@ impl<W: Word> FromIterator<bool> for BitString<W> {
     }
 }
 
-impl<W: Word> Extend<bool> for BitString<W> {
+impl Extend<bool> for BitString {
     fn extend<T: IntoIterator<Item = bool>>(&mut self, iter: T) {
         for bit in iter {
             self.push_bit(bit);
@@ -355,12 +336,12 @@ impl<W: Word> Extend<bool> for BitString<W> {
 /// All read methods return `None` once the underlying data is exhausted,
 /// which makes malformed-message handling explicit at the call site.
 #[derive(Clone, Debug)]
-pub struct BitReader<'a, W: Word = DefaultLane> {
-    bits: &'a BitString<W>,
+pub struct BitReader<'a> {
+    bits: &'a BitString,
     pos: usize,
 }
 
-impl<'a, W: Word> BitReader<'a, W> {
+impl BitReader<'_> {
     /// Reads a single bit, advancing the cursor.
     pub fn read_bit(&mut self) -> Option<bool> {
         if self.pos >= self.bits.len() {
@@ -371,63 +352,55 @@ impl<'a, W: Word> BitReader<'a, W> {
         Some(bit)
     }
 
-    /// Reads up to `W::BITS` bits as one lane, least-significant first.
-    /// `width <= W::BITS` and `pos + width <= len` are the caller's
-    /// responsibility.
-    fn read_word_bits(&mut self, width: usize) -> W {
-        debug_assert!(width <= W::BITS);
-        debug_assert!(self.pos + width <= self.bits.len());
-        if width == 0 {
-            return W::ZERO;
-        }
-        let word_idx = self.pos / W::BITS;
-        let bit_idx = self.pos % W::BITS;
-        let mut value = self.bits.words[word_idx] >> bit_idx;
-        if bit_idx + width > W::BITS {
-            value |= self.bits.words[word_idx + 1] << (W::BITS - bit_idx);
-        }
-        self.pos += width;
-        value & W::mask_low(width)
-    }
-
     /// Reads `width` bits as an unsigned integer (least-significant first).
     ///
-    /// Returns `None` if fewer than `width` bits remain. The bits are
-    /// extracted from the (at most two) straddled words in O(1).
+    /// Returns `None` (without advancing) if fewer than `width` bits
+    /// remain. The bits are extracted from the (at most two) straddled
+    /// words in O(1).
     ///
     /// # Panics
     ///
     /// Panics if `width > 64`.
     pub fn read_bits(&mut self, width: usize) -> Option<u64> {
-        assert!(width <= 64, "width {width} exceeds 64 bits");
-        if self.pos + width > self.bits.len() {
+        assert!(width <= LANE_BITS, "width {width} exceeds {LANE_BITS} bits");
+        if width > self.remaining() {
             return None;
         }
-        Some(self.read_word_bits(width).low_u64())
+        if width == 0 {
+            return Some(0);
+        }
+        let word_idx = self.pos / LANE_BITS;
+        let bit_idx = self.pos % LANE_BITS;
+        let mut value = self.bits.words[word_idx] >> bit_idx;
+        if bit_idx + width > LANE_BITS {
+            value |= self.bits.words[word_idx + 1] << (LANE_BITS - bit_idx);
+        }
+        self.pos += width;
+        Some(value & mask_low(width))
     }
 
     /// Reads `len` bits into packed little-endian words (the inverse of
     /// [`BitString::push_words`]).
     ///
     /// Returns `None` (without advancing) if fewer than `len` bits remain.
-    pub fn read_words(&mut self, len: usize) -> Option<Vec<W>> {
+    pub fn read_words(&mut self, len: usize) -> Option<Vec<u64>> {
         self.read_bitstring(len).map(BitString::into_backing)
     }
 
-    /// Reads the next `len` bits as a new [`BitString`], one lane at a time
-    /// (at most two word operations per `W::BITS` bits, whatever the
-    /// cursor's alignment).
+    /// Reads the next `len` bits as a new [`BitString`], one word at a time
+    /// (at most two word operations per word, whatever the cursor's
+    /// alignment).
     ///
     /// Returns `None` (without advancing) if fewer than `len` bits remain.
-    pub fn read_bitstring(&mut self, len: usize) -> Option<BitString<W>> {
-        if self.pos + len > self.bits.len() {
+    pub fn read_bitstring(&mut self, len: usize) -> Option<BitString> {
+        if len > self.remaining() {
             return None;
         }
         let mut out = BitString::with_capacity(len);
         let mut remaining = len;
         while remaining > 0 {
-            let take = remaining.min(W::BITS);
-            out.words.push(self.read_word_bits(take));
+            let take = remaining.min(LANE_BITS);
+            out.words.push(self.read_bits(take)?);
             remaining -= take;
         }
         out.len = len;
@@ -482,7 +455,7 @@ mod tests {
 
     #[test]
     fn empty_bitstring() {
-        let bs = BitString::<DefaultLane>::new();
+        let bs = BitString::new();
         assert!(bs.is_empty());
         assert_eq!(bs.len(), 0);
         assert!(bs.reader().is_exhausted());
@@ -490,7 +463,7 @@ mod tests {
 
     #[test]
     fn push_and_read_single_bits() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_bit(true);
         bs.push_bit(false);
         bs.push_bit(true);
@@ -507,7 +480,7 @@ mod tests {
 
     #[test]
     fn push_and_read_fixed_width() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_bits(0xDEAD_BEEF, 32);
         bs.push_bits(7, 3);
         bs.push_bits(u64::MAX, 64);
@@ -520,7 +493,7 @@ mod tests {
 
     #[test]
     fn read_past_end_returns_none() {
-        let bs = BitString::<DefaultLane>::from_bits(5, 3);
+        let bs = BitString::from_bits(5, 3);
         let mut r = bs.reader();
         assert_eq!(r.read_bits(4), None);
         assert_eq!(r.read_bits(3), Some(5));
@@ -529,7 +502,7 @@ mod tests {
 
     #[test]
     fn zero_width_reads_and_writes() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_bits(0, 0);
         assert!(bs.is_empty());
         let mut r = bs.reader();
@@ -538,7 +511,7 @@ mod tests {
 
     #[test]
     fn uint_encoding_round_trip() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         for v in [0u64, 1, 99, 999] {
             bs.push_uint(v, 1000);
         }
@@ -553,7 +526,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn uint_out_of_range_panics() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_uint(1000, 1000);
     }
 
@@ -571,7 +544,7 @@ mod tests {
 
     #[test]
     fn extend_and_concat() {
-        let a = BitString::<DefaultLane>::from_bools(&[true, false]);
+        let a = BitString::from_bools(&[true, false]);
         let b = BitString::from_bools(&[true, true, false]);
         let c = a.concat(&b);
         assert_eq!(c.len(), 5);
@@ -596,34 +569,31 @@ mod tests {
 
     #[test]
     fn display_and_debug_are_nonempty() {
-        let bs = BitString::<DefaultLane>::from_bools(&[true, false, true]);
+        let bs = BitString::from_bools(&[true, false, true]);
         assert_eq!(format!("{bs}"), "101");
         assert!(format!("{bs:?}").contains("3 bits"));
     }
 
-    /// The per-width round-trip exercised at `u64` and `u128` (width-keyed
-    /// offsets/lengths so straddles hit both lane sizes).
-    fn push_words_round_trip<W: Word>() {
-        let probes = [0usize, 1, 3, W::BITS - 1, W::BITS, W::BITS + 1];
+    /// Offsets and lengths around one word, so straddles hit every
+    /// alignment.
+    #[test]
+    fn push_words_and_read_words_round_trip() {
+        let probes = [0usize, 1, 3, LANE_BITS - 1, LANE_BITS, LANE_BITS + 1];
         let lens = [
             0usize,
             1,
             37,
-            W::BITS,
-            W::BITS + 36,
-            2 * W::BITS,
-            3 * W::BITS + 8,
+            LANE_BITS,
+            LANE_BITS + 36,
+            2 * LANE_BITS,
+            3 * LANE_BITS + 8,
         ];
         for &offset in &probes {
             for &len in &lens {
-                let words: Vec<W> = (0..len.div_ceil(W::BITS).max(1))
-                    .map(|i| {
-                        W::from_u64(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))
-                            | (W::from_u64(0xD1B5_4A32_D192_ED03u64.wrapping_mul(i as u64 + 7))
-                                << (W::BITS - 64).min(63))
-                    })
+                let words: Vec<u64> = (0..len.div_ceil(LANE_BITS).max(1))
+                    .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))
                     .collect();
-                let mut bs = BitString::<W>::new();
+                let mut bs = BitString::new();
                 for i in 0..offset {
                     bs.push_bit(i % 3 == 0);
                 }
@@ -634,12 +604,12 @@ mod tests {
                     assert_eq!(r.read_bit(), Some(i % 3 == 0));
                 }
                 let got = r.read_words(len).expect("enough bits");
-                assert_eq!(got.len(), len.div_ceil(W::BITS));
+                assert_eq!(got.len(), len.div_ceil(LANE_BITS));
                 for (w, &word) in got.iter().enumerate() {
-                    let width = (len - w * W::BITS).min(W::BITS);
+                    let width = (len - w * LANE_BITS).min(LANE_BITS);
                     assert_eq!(
                         word,
-                        words[w] & W::mask_low(width),
+                        words[w] & mask_low(width),
                         "offset {offset}, len {len}, word {w}"
                     );
                 }
@@ -648,38 +618,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_words_and_read_words_round_trip() {
-        push_words_round_trip::<u64>();
-        push_words_round_trip::<u128>();
-    }
-
-    /// `read_bitstring` at every start offset and length around one lane,
+    /// `read_bitstring` at every start offset and length around one word,
     /// checked against the bit-at-a-time path.
-    fn read_bitstring_matches_bitwise<W: Word>() {
-        let source: BitString<W> = (0..4 * W::BITS + 7).map(|i| (i * 5) % 7 < 3).collect();
+    #[test]
+    fn read_bitstring_is_word_level_and_exact() {
+        let source: BitString = (0..4 * LANE_BITS + 7).map(|i| (i * 5) % 7 < 3).collect();
         let lens = [
             0usize,
             1,
-            W::BITS - 1,
-            W::BITS,
-            W::BITS + 1,
-            2 * W::BITS + 3,
+            LANE_BITS - 1,
+            LANE_BITS,
+            LANE_BITS + 1,
+            2 * LANE_BITS + 3,
         ];
-        for offset in [0usize, 1, 5, W::BITS - 1, W::BITS, W::BITS + 1] {
+        for offset in [0usize, 1, 5, LANE_BITS - 1, LANE_BITS, LANE_BITS + 1] {
             for &len in &lens {
                 let mut r = source.reader();
                 for _ in 0..offset {
                     r.read_bit().expect("offset within source");
                 }
-                let mut per_bit = BitString::<W>::new();
+                let mut per_bit = BitString::new();
                 let mut bitwise = r.clone();
                 for _ in 0..len {
                     per_bit.push_bit(bitwise.read_bit().expect("len within source"));
                 }
                 let got = r.read_bitstring(len).expect("len within source");
                 assert_eq!(got, per_bit, "offset {offset}, len {len}");
-                assert_eq!(got.words().len(), len.div_ceil(W::BITS));
+                assert_eq!(got.words().len(), len.div_ceil(LANE_BITS));
                 assert_eq!(r.position(), offset + len);
             }
         }
@@ -695,15 +660,21 @@ mod tests {
     }
 
     #[test]
-    fn read_bitstring_is_word_level_and_exact() {
-        read_bitstring_matches_bitwise::<u64>();
-        read_bitstring_matches_bitwise::<u128>();
-        read_bitstring_matches_bitwise::<DefaultLane>();
+    fn huge_read_lengths_return_none_without_advancing() {
+        // `pos + len` would overflow here; the bound is checked against the
+        // remaining bits instead.
+        let bs = BitString::from_bits(0b101, 3);
+        let mut r = bs.reader();
+        assert_eq!(r.read_bit(), Some(true));
+        assert_eq!(r.read_bitstring(usize::MAX), None);
+        assert_eq!(r.read_words(usize::MAX), None);
+        assert_eq!(r.position(), 1);
+        assert_eq!(r.read_bits(2), Some(0b10));
     }
 
     #[test]
     fn read_words_past_end_does_not_advance() {
-        let bs: BitString<u64> = BitString::from_bits(0b101, 3);
+        let bs = BitString::from_bits(0b101, 3);
         let mut r = bs.reader();
         assert_eq!(r.read_words(4), None);
         assert_eq!(r.position(), 0);
@@ -713,7 +684,7 @@ mod tests {
     #[test]
     fn from_words_and_to_bools_match_per_bit_paths() {
         let bools: Vec<bool> = (0..150).map(|i| (i * 7) % 5 < 2).collect();
-        let packed = BitString::<DefaultLane>::from_bools(&bools);
+        let packed = BitString::from_bools(&bools);
         let mut per_bit = BitString::new();
         for &b in &bools {
             per_bit.push_bit(b);
@@ -724,25 +695,20 @@ mod tests {
         assert_eq!(rebuilt, packed);
     }
 
-    fn unused_high_bits_stay_zero_for<W: Word>() {
-        // `words()` promises zeroed padding; push paths must maintain it.
-        let mut bs = BitString::<W>::from_bools(&[true; 70]);
-        bs.push_bits(u64::MAX, 3);
-        bs.push_words(&[W::ONES], 5);
-        let last = *bs.words().last().unwrap();
-        let used = bs.len() % W::BITS;
-        assert_eq!(last & !W::mask_low(used), W::ZERO);
-    }
-
     #[test]
     fn unused_high_bits_stay_zero() {
-        unused_high_bits_stay_zero_for::<u64>();
-        unused_high_bits_stay_zero_for::<u128>();
+        // `words()` promises zeroed padding; push paths must maintain it.
+        let mut bs = BitString::from_bools(&[true; 70]);
+        bs.push_bits(u64::MAX, 3);
+        bs.push_words(&[u64::MAX], 5);
+        let last = *bs.words().last().unwrap();
+        let used = bs.len() % LANE_BITS;
+        assert_eq!(last & !mask_low(used), 0);
     }
 
     #[test]
     fn crossing_word_boundaries() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         for i in 0..200u64 {
             bs.push_bits(i % 2, 1);
         }
@@ -755,21 +721,8 @@ mod tests {
     }
 
     #[test]
-    fn u64_and_u128_encodings_agree_bit_for_bit() {
-        let mut narrow = BitString::<u64>::new();
-        let mut wide = BitString::<u128>::new();
-        for (i, v) in [(3usize, 5u64), (64, u64::MAX), (17, 0x1F00F), (1, 1)] {
-            narrow.push_bits(v, i.min(64));
-            wide.push_bits(v, i.min(64));
-        }
-        assert_eq!(narrow.len(), wide.len());
-        assert_eq!(narrow.to_bools(), wide.to_bools());
-        assert_eq!(narrow.to_le_bytes(), wide.to_le_bytes());
-    }
-
-    #[test]
     fn toggle_bit_flips_exactly_one_bit() {
-        let mut bs = BitString::<u64>::from_bools(&[false; 150]);
+        let mut bs = BitString::from_bools(&[false; 150]);
         bs.toggle_bit(0);
         bs.toggle_bit(149);
         bs.toggle_bit(64);
@@ -781,7 +734,7 @@ mod tests {
 
     #[test]
     fn le_bytes_are_canonical_and_truncated() {
-        let mut bs = BitString::<u64>::new();
+        let mut bs = BitString::new();
         bs.push_bits(0xABCD, 16);
         bs.push_bits(0b101, 3);
         // 19 bits -> 3 bytes: CD AB 05 (bit 16..18 = 101 -> 0b101 = 5).

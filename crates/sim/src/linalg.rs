@@ -3,23 +3,23 @@
 //! The Theorem 2 transfer makes `F₂` matrix multiplication the workhorse
 //! primitive of the reproduction (Section 2.1 and the algebraic-methods
 //! follow-ups), so the host-side representation matters: [`BitMatrix`] packs
-//! each row into machine-word lanes ([`Word`], default [`DefaultLane`]) and
-//! multiplies with word operations — `W::BITS` field elements per machine
-//! instruction — instead of one `bool` at a time.
+//! each row into `u64` lane words ([`DefaultLane`](crate::lane::DefaultLane))
+//! and multiplies with word operations — one word of field elements per
+//! machine instruction — instead of one `bool` at a time.
 //!
-//! Two multiplication kernels are provided:
+//! [`BitMatrix::mul_f2`] dispatches between two multiplication kernels:
 //!
-//! * [`BitMatrix::mul_f2_word`] — for every set bit `A[i][k]`, XOR row `k`
-//!   of `B` into the accumulator row, one word at a time;
-//! * [`BitMatrix::mul_f2_four_russians`] — the Method of Four Russians:
-//!   group the rows of `B` in blocks of 8, precompute all 256 XOR
+//! * below inner dimension [`FOUR_RUSSIANS_MIN_DIM`], a private word
+//!   kernel — for every set bit `A[i][k]`, XOR row `k` of `B` into the
+//!   accumulator row, one word at a time;
+//! * from it up, [`BitMatrix::mul_f2_four_russians`] — the Method of Four
+//!   Russians: group the rows of `B` in blocks of 8, precompute all 256 XOR
 //!   combinations per block, then handle 8 columns of `A` per table lookup.
 //!   The tables are built in *tiles* of several blocks
 //!   ([`M4R_TILE_BYTES`]) so each output row is loaded and stored once per
 //!   tile instead of once per block.
 //!
-//! [`BitMatrix::mul_f2`] dispatches between them (Four Russians from
-//! dimension 256 up). On top of the dispatcher sits
+//! On top of the dispatcher sits
 //! [`BitMatrix::mul_f2_strassen`]: Strassen's recursion over `F₂`
 //! (subtraction *is* XOR, so no entry widths grow), splitting from
 //! [`STRASSEN_MIN_DIM`] with the padded dimension decided once by
@@ -37,15 +37,14 @@
 //! [`par::set_threads`] / `CLIQUE_THREADS`; the `*_with_threads` variants
 //! take an explicit budget). Threading sits behind the same dispatcher seam
 //! as the Four-Russians threshold: it selects an execution strategy, never a
-//! different result. Packing, lane width and threading are *host-side*
-//! optimisations only: protocols built on these kernels exchange exactly the
-//! same transcripts as the `Vec<Vec<bool>>` code they replaced (pinned by
-//! `tests/protocol_regression.rs` and the cross-width proptests).
+//! different result. Packing and threading are *host-side* optimisations
+//! only: protocols built on these kernels exchange exactly the same
+//! transcripts as the `Vec<Vec<bool>>` code they replaced (pinned by
+//! `tests/protocol_regression.rs`).
 
 use std::fmt;
 
-use crate::bits::BitString;
-use crate::lane::{DefaultLane, Word};
+use crate::bits::{mask_low, BitString, LANE_BITS};
 use crate::par;
 
 /// Row count from which [`BitMatrix::mul_f2`] switches to the Method of
@@ -65,12 +64,11 @@ pub const PAR_MIN_ROWS: usize = 64;
 /// `O(d²)` XOR passes, but the Four-Russians kernel also gets *more*
 /// efficient per output bit as `d` grows (its tables amortise over longer
 /// rows), so splitting only pays once the leaves are themselves large:
-/// measured best-of-3 on this container, a forced depth-1 split runs at
-/// 0.70×/0.75× (u64/u128) Four Russians at `d = 2048`, ties at `d = 3072`
-/// (1.06×/1.03×) and clearly wins at `d = 4096` (1.65×/1.38×). The
-/// `kernels` bench bin reports both kernels side by side around the
-/// threshold; like the other dispatch constants it selects an execution
-/// schedule, never a different result.
+/// measured best-of-3 by the `kernels` bench bin, a forced depth-1 split
+/// runs at 0.70× Four Russians at `d = 2048`, ties at `d = 3072` (1.06×)
+/// and clearly wins at `d = 4096` (1.65×). That bin reports both kernels
+/// side by side around the threshold; like the other dispatch constants
+/// it selects an execution schedule, never a different result.
 pub const STRASSEN_MIN_DIM: usize = 3072;
 
 /// Rows-of-`B` block width of the Four-Russians kernel (8 bits → 256-entry
@@ -151,7 +149,7 @@ pub fn strassen_padded_dim(d: usize, levels: u32) -> usize {
 }
 
 /// A dense Boolean matrix with rows packed into little-endian words
-/// (column `j` of row `i` is bit `j % W::BITS` of word `j / W::BITS`).
+/// (column `j` of row `i` is bit `j % LANE_BITS` of word `j / LANE_BITS`).
 ///
 /// Bits past `cols` in the last word of each row are always zero; every
 /// mutating method maintains this invariant, which the multiplication
@@ -168,22 +166,22 @@ pub fn strassen_padded_dim(d: usize, levels: u32) -> usize {
 /// assert!(a.get(1, 1));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitMatrix<W: Word = DefaultLane> {
+pub struct BitMatrix {
     rows: usize,
     cols: usize,
     words_per_row: usize,
-    data: Vec<W>,
+    data: Vec<u64>,
 }
 
-impl<W: Word> BitMatrix<W> {
+impl BitMatrix {
     /// Creates an all-zero `rows × cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        let words_per_row = cols.div_ceil(W::BITS);
+        let words_per_row = cols.div_ceil(LANE_BITS);
         Self {
             rows,
             cols,
             words_per_row,
-            data: vec![W::ZERO; rows * words_per_row],
+            data: vec![0; rows * words_per_row],
         }
     }
 
@@ -209,7 +207,7 @@ impl<W: Word> BitMatrix<W> {
             let words = m.row_words_mut(i);
             for (j, &bit) in row.iter().enumerate() {
                 if bit {
-                    words[j / W::BITS] |= W::bit(j % W::BITS);
+                    words[j / LANE_BITS] |= 1 << (j % LANE_BITS);
                 }
             }
         }
@@ -228,7 +226,7 @@ impl<W: Word> BitMatrix<W> {
             let words = m.row_words_mut(i);
             for (j, &bit) in row.iter().enumerate() {
                 if bit {
-                    words[j / W::BITS] |= W::bit(j % W::BITS);
+                    words[j / LANE_BITS] |= 1 << (j % LANE_BITS);
                 }
             }
         }
@@ -267,7 +265,7 @@ impl<W: Word> BitMatrix<W> {
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of range"
         );
-        (self.data[i * self.words_per_row + j / W::BITS] >> (j % W::BITS)) & W::ONE == W::ONE
+        (self.data[i * self.words_per_row + j / LANE_BITS] >> (j % LANE_BITS)) & 1 == 1
     }
 
     /// Sets the entry at `(i, j)`.
@@ -280,11 +278,11 @@ impl<W: Word> BitMatrix<W> {
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of range"
         );
-        let word = &mut self.data[i * self.words_per_row + j / W::BITS];
+        let word = &mut self.data[i * self.words_per_row + j / LANE_BITS];
         if value {
-            *word |= W::bit(j % W::BITS);
+            *word |= 1 << (j % LANE_BITS);
         } else {
-            *word &= !W::bit(j % W::BITS);
+            *word &= !(1 << (j % LANE_BITS));
         }
     }
 
@@ -293,7 +291,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn row_words(&self, i: usize) -> &[W] {
+    pub fn row_words(&self, i: usize) -> &[u64] {
         assert!(i < self.rows, "row {i} out of range");
         &self.data[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
@@ -304,14 +302,14 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn row_words_mut(&mut self, i: usize) -> &mut [W] {
+    pub fn row_words_mut(&mut self, i: usize) -> &mut [u64] {
         assert!(i < self.rows, "row {i} out of range");
         &mut self.data[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
 
     /// Row `i` as a [`BitString`] of `cols()` bits, ready to ship as a
     /// message payload.
-    pub fn row_bits(&self, i: usize) -> BitString<W> {
+    pub fn row_bits(&self, i: usize) -> BitString {
         BitString::from_words(self.row_words(i), self.cols)
     }
 
@@ -322,9 +320,9 @@ impl<W: Word> BitMatrix<W> {
     ///
     /// Panics if `i` is out of range or `words` holds fewer than `cols()`
     /// bits.
-    pub fn set_row_words(&mut self, i: usize, words: &[W]) {
+    pub fn set_row_words(&mut self, i: usize, words: &[u64]) {
         assert!(
-            words.len() * W::BITS >= self.cols,
+            words.len() * LANE_BITS >= self.cols,
             "{} words cannot hold {} columns",
             words.len(),
             self.cols
@@ -332,10 +330,10 @@ impl<W: Word> BitMatrix<W> {
         let cols = self.cols;
         let row = self.row_words_mut(i);
         row.copy_from_slice(&words[..row.len()]);
-        let rem = cols % W::BITS;
+        let rem = cols % LANE_BITS;
         if rem > 0 {
             if let Some(last) = row.last_mut() {
-                *last &= W::mask_low(rem);
+                *last &= mask_low(rem);
             }
         }
     }
@@ -351,12 +349,12 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `mask.len() != cols()`.
-    pub fn mask_columns(&self, mask: &[bool]) -> BitMatrix<W> {
+    pub fn mask_columns(&self, mask: &[bool]) -> BitMatrix {
         assert_eq!(mask.len(), self.cols, "mask length must equal cols");
-        let mut packed = vec![W::ZERO; self.words_per_row];
+        let mut packed = vec![0; self.words_per_row];
         for (j, &keep) in mask.iter().enumerate() {
             if keep {
-                packed[j / W::BITS] |= W::bit(j % W::BITS);
+                packed[j / LANE_BITS] |= 1 << (j % LANE_BITS);
             }
         }
         let mut out = self.clone();
@@ -373,7 +371,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if the dimensions differ.
-    pub fn xor(&self, other: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn xor(&self, other: &BitMatrix) -> BitMatrix {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
@@ -396,7 +394,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn mul_f2(&self, rhs: &BitMatrix) -> BitMatrix {
         self.mul_f2_with_threads(rhs, par::threads())
     }
 
@@ -406,7 +404,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> BitMatrix<W> {
+    pub fn mul_f2_with_threads(&self, rhs: &BitMatrix, threads: usize) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -436,38 +434,21 @@ impl<W: Word> BitMatrix<W> {
         inner_dim >= FOUR_RUSSIANS_MIN_DIM
     }
 
-    /// The word-level product: for every set bit `A[i][k]`, XOR row `k` of
-    /// `B` into output row `i` (`W::BITS` columns per word operation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_word(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if !out.data.is_empty() {
-            self.mul_f2_word_range(rhs, 0, &mut out.data);
-        }
-        out
-    }
-
-    /// The word kernel restricted to output rows `row0..`, writing into the
-    /// caller's (zeroed) chunk of `out.data` — the unit the threaded
-    /// dispatcher hands to each worker.
-    fn mul_f2_word_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
+    /// The word-level product restricted to output rows `row0..`: for
+    /// every set bit `A[i][k]`, XOR row `k` of `B` into output row `i`, one
+    /// word of columns per operation. Writes into the caller's (zeroed)
+    /// chunk of `out.data` — the unit the threaded dispatcher hands to each
+    /// worker.
+    fn mul_f2_word_range(&self, rhs: &BitMatrix, row0: usize, out_chunk: &mut [u64]) {
         let w = rhs.words_per_row;
         for (r, out_row) in out_chunk.chunks_mut(w).enumerate() {
             let i = row0 + r;
             let a_row = &self.data[i * self.words_per_row..(i + 1) * self.words_per_row];
             for (wi, &word) in a_row.iter().enumerate() {
                 let mut bits = word;
-                while bits != W::ZERO {
-                    let k = wi * W::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
+                while bits != 0 {
+                    let k = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     let b_row = &rhs.data[k * w..(k + 1) * w];
                     for (o, &b) in out_row.iter_mut().zip(b_row) {
                         *o ^= b;
@@ -487,7 +468,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_four_russians(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn mul_f2_four_russians(&self, rhs: &BitMatrix) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -508,7 +489,7 @@ impl<W: Word> BitMatrix<W> {
     /// `1..1 << size` is overwritten by plain assignment, `table[0]` is
     /// never written, and no reset between calls is needed (lookups are
     /// masked to `size` bits).
-    fn m4r_build_table(rhs: &BitMatrix<W>, base: usize, size: usize, table: &mut [W]) {
+    fn m4r_build_table(rhs: &BitMatrix, base: usize, size: usize, table: &mut [u64]) {
         let w = rhs.words_per_row;
         for idx in 1usize..1 << size {
             let low = idx.trailing_zeros() as usize;
@@ -526,8 +507,8 @@ impl<W: Word> BitMatrix<W> {
     /// mutable). Blocks are grouped into tiles of [`M4R_TILE_BYTES`] of
     /// tables; per tile, every output row of the chunk is loaded once,
     /// combined with one lookup per block in the tile, and stored once.
-    fn mul_f2_m4r_blocked_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
-        let tile = m4r_tile_blocks(rhs.words_per_row, W::BYTES);
+    fn mul_f2_m4r_blocked_range(&self, rhs: &BitMatrix, row0: usize, out_chunk: &mut [u64]) {
+        let tile = m4r_tile_blocks(rhs.words_per_row, size_of::<u64>());
         self.mul_f2_m4r_tiled_range(rhs, row0, out_chunk, tile);
     }
 
@@ -535,9 +516,9 @@ impl<W: Word> BitMatrix<W> {
     /// blocks (the tuning axis behind [`M4R_TILE_BYTES`]).
     fn mul_f2_m4r_tiled_range(
         &self,
-        rhs: &BitMatrix<W>,
+        rhs: &BitMatrix,
         row0: usize,
-        out_chunk: &mut [W],
+        out_chunk: &mut [u64],
         tile: usize,
     ) {
         let w = rhs.words_per_row;
@@ -549,8 +530,8 @@ impl<W: Word> BitMatrix<W> {
         // every table of the tile, so each table pass is a tight sequential
         // sweep while the output chunk is loaded from cache, not memory, per
         // table.
-        let row_tile = (M4R_ROW_TILE_BYTES / (w * W::BYTES).max(1)).max(1);
-        let mut tables = vec![W::ZERO; tile * table_words];
+        let row_tile = (M4R_ROW_TILE_BYTES / (w * size_of::<u64>()).max(1)).max(1);
+        let mut tables = vec![0; tile * table_words];
         let mut b0 = 0usize;
         while b0 < blocks {
             let in_tile = tile.min(blocks - b0);
@@ -582,15 +563,15 @@ impl<W: Word> BitMatrix<W> {
     }
 
     /// The transposed matrix.
-    pub fn transpose(&self) -> BitMatrix<W> {
+    pub fn transpose(&self) -> BitMatrix {
         let mut out = BitMatrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for (wi, &word) in self.row_words(i).iter().enumerate() {
                 let mut bits = word;
-                while bits != W::ZERO {
-                    let j = wi * W::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
-                    out.data[j * out.words_per_row + i / W::BITS] |= W::bit(i % W::BITS);
+                while bits != 0 {
+                    let j = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    out.data[j * out.words_per_row + i / LANE_BITS] |= 1 << (i % LANE_BITS);
                 }
             }
         }
@@ -598,12 +579,12 @@ impl<W: Word> BitMatrix<W> {
     }
 
     /// The `rows × cols` block starting at `(row0, col0)`, extracted with
-    /// word shifts (`W::BITS` columns per operation).
+    /// word shifts (`LANE_BITS` columns per operation).
     ///
     /// # Panics
     ///
     /// Panics if the block reaches past the matrix.
-    pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> BitMatrix<W> {
+    pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> BitMatrix {
         assert!(
             row0 + rows <= self.rows && col0 + cols <= self.cols,
             "block {rows}×{cols} at ({row0},{col0}) exceeds {}×{}",
@@ -614,24 +595,24 @@ impl<W: Word> BitMatrix<W> {
         if cols == 0 {
             return out;
         }
-        let word_off = col0 / W::BITS;
-        let bit_off = col0 % W::BITS;
+        let word_off = col0 / LANE_BITS;
+        let bit_off = col0 % LANE_BITS;
         for i in 0..rows {
             let src = self.row_words(row0 + i);
             let dst = &mut out.data[i * out.words_per_row..(i + 1) * out.words_per_row];
             for (wi, d) in dst.iter_mut().enumerate() {
-                let lo = src.get(word_off + wi).copied().unwrap_or(W::ZERO) >> bit_off;
+                let lo = src.get(word_off + wi).copied().unwrap_or(0) >> bit_off;
                 let hi = if bit_off > 0 {
-                    src.get(word_off + wi + 1).copied().unwrap_or(W::ZERO) << (W::BITS - bit_off)
+                    src.get(word_off + wi + 1).copied().unwrap_or(0) << (LANE_BITS - bit_off)
                 } else {
-                    W::ZERO
+                    0
                 };
                 *d = lo | hi;
             }
-            let rem = cols % W::BITS;
+            let rem = cols % LANE_BITS;
             if rem > 0 {
                 if let Some(last) = dst.last_mut() {
-                    *last &= W::mask_low(rem);
+                    *last &= mask_low(rem);
                 }
             }
         }
@@ -644,7 +625,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if either dimension shrinks.
-    pub fn padded(&self, rows: usize, cols: usize) -> BitMatrix<W> {
+    pub fn padded(&self, rows: usize, cols: usize) -> BitMatrix {
         assert!(
             rows >= self.rows && cols >= self.cols,
             "cannot pad {}×{} down to {rows}×{cols}",
@@ -666,7 +647,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if the block reaches past the matrix.
-    pub fn paste(&mut self, row0: usize, col0: usize, block: &BitMatrix<W>) {
+    pub fn paste(&mut self, row0: usize, col0: usize, block: &BitMatrix) {
         assert!(
             row0 + block.rows <= self.rows && col0 + block.cols <= self.cols,
             "block {}×{} at ({row0},{col0}) exceeds {}×{}",
@@ -678,9 +659,9 @@ impl<W: Word> BitMatrix<W> {
         if block.is_empty() {
             return;
         }
-        if col0.is_multiple_of(W::BITS) {
-            let word0 = col0 / W::BITS;
-            let rem = block.cols % W::BITS;
+        if col0.is_multiple_of(LANE_BITS) {
+            let word0 = col0 / LANE_BITS;
+            let rem = block.cols % LANE_BITS;
             for i in 0..block.rows {
                 let src = block.row_words(i);
                 let dst = &mut self.row_words_mut(row0 + i)[word0..word0 + src.len()];
@@ -689,7 +670,7 @@ impl<W: Word> BitMatrix<W> {
                 } else {
                     let (full, last) = src.split_at(src.len() - 1);
                     dst[..full.len()].copy_from_slice(full);
-                    let mask = W::mask_low(rem);
+                    let mask = mask_low(rem);
                     dst[full.len()] = (dst[full.len()] & !mask) | (last[0] & mask);
                 }
             }
@@ -713,7 +694,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_strassen(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn mul_f2_strassen(&self, rhs: &BitMatrix) -> BitMatrix {
         self.mul_f2_strassen_with_threads(rhs, par::threads())
     }
 
@@ -724,7 +705,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_strassen_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> BitMatrix<W> {
+    pub fn mul_f2_strassen_with_threads(&self, rhs: &BitMatrix, threads: usize) -> BitMatrix {
         let d = self.rows.max(self.cols).max(rhs.cols);
         self.mul_f2_strassen_with_levels(rhs, strassen_levels(d), threads)
     }
@@ -739,10 +720,10 @@ impl<W: Word> BitMatrix<W> {
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn mul_f2_strassen_with_levels(
         &self,
-        rhs: &BitMatrix<W>,
+        rhs: &BitMatrix,
         levels: u32,
         threads: usize,
-    ) -> BitMatrix<W> {
+    ) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -761,7 +742,7 @@ impl<W: Word> BitMatrix<W> {
 
     /// One Strassen level on square power-aligned operands: seven recursive
     /// half-dimension products combined with XOR passes.
-    fn strassen_split(a: &BitMatrix<W>, b: &BitMatrix<W>, levels: u32, threads: usize) -> Self {
+    fn strassen_split(a: &BitMatrix, b: &BitMatrix, levels: u32, threads: usize) -> Self {
         if levels == 0 {
             return a.mul_f2_with_threads(b, threads);
         }
@@ -791,7 +772,7 @@ impl<W: Word> BitMatrix<W> {
     }
 
     /// The matrix product over the Boolean semiring `(∨, ∧)`: for every set
-    /// bit `A[i][k]`, OR row `k` of `B` into output row `i` (`W::BITS`
+    /// bit `A[i][k]`, OR row `k` of `B` into output row `i` (`LANE_BITS`
     /// columns per word operation). From [`PAR_MIN_ROWS`] output rows the
     /// rows are split across the [`par::threads`] worker pool; results are
     /// identical at every worker count.
@@ -799,7 +780,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_bool(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn mul_bool(&self, rhs: &BitMatrix) -> BitMatrix {
         self.mul_bool_with_threads(rhs, par::threads())
     }
 
@@ -809,7 +790,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_bool_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> BitMatrix<W> {
+    pub fn mul_bool_with_threads(&self, rhs: &BitMatrix, threads: usize) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -828,16 +809,16 @@ impl<W: Word> BitMatrix<W> {
     }
 
     /// The Boolean-semiring kernel restricted to output rows `row0..`.
-    fn mul_bool_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
+    fn mul_bool_range(&self, rhs: &BitMatrix, row0: usize, out_chunk: &mut [u64]) {
         let w = rhs.words_per_row;
         for (r, out_row) in out_chunk.chunks_mut(w).enumerate() {
             let i = row0 + r;
             let a_row = &self.data[i * self.words_per_row..(i + 1) * self.words_per_row];
             for (wi, &word) in a_row.iter().enumerate() {
                 let mut bits = word;
-                while bits != W::ZERO {
-                    let k = wi * W::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
+                while bits != 0 {
+                    let k = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     let b_row = &rhs.data[k * w..(k + 1) * w];
                     for (o, &b) in out_row.iter_mut().zip(b_row) {
                         *o |= b;
@@ -849,13 +830,13 @@ impl<W: Word> BitMatrix<W> {
 
     /// The matrix product over the counting semiring `(+, ×)` of two 0/1
     /// matrices: `C[i][j] = |{k : A[i][k] ∧ B[k][j]}|`, computed as the
-    /// popcount of `row_i(A) ∧ row_j(Bᵀ)` — `W::BITS` multiply-adds per
+    /// popcount of `row_i(A) ∧ row_j(Bᵀ)` — `LANE_BITS` multiply-adds per
     /// AND+popcount pair.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn popcount_product(&self, rhs: &BitMatrix<W>) -> IntMatrix {
+    pub fn popcount_product(&self, rhs: &BitMatrix) -> IntMatrix {
         self.popcount_product_with_threads(rhs, par::threads())
     }
 
@@ -866,7 +847,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn popcount_product_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> IntMatrix {
+    pub fn popcount_product_with_threads(&self, rhs: &BitMatrix, threads: usize) -> IntMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -901,17 +882,17 @@ impl<W: Word> BitMatrix<W> {
     fn extract_row_bits(&self, i: usize, start: usize, len: usize) -> usize {
         debug_assert!(len <= M4R_BLOCK && start + len <= self.cols);
         let row = i * self.words_per_row;
-        let word_idx = start / W::BITS;
-        let bit_idx = start % W::BITS;
+        let word_idx = start / LANE_BITS;
+        let bit_idx = start % LANE_BITS;
         let mut value = self.data[row + word_idx] >> bit_idx;
-        if bit_idx + len > W::BITS {
-            value |= self.data[row + word_idx + 1] << (W::BITS - bit_idx);
+        if bit_idx + len > LANE_BITS {
+            value |= self.data[row + word_idx + 1] << (LANE_BITS - bit_idx);
         }
-        (value.low_u64() & ((1u64 << len) - 1)) as usize
+        (value & ((1u64 << len) - 1)) as usize
     }
 }
 
-impl<W: Word> fmt::Debug for BitMatrix<W> {
+impl fmt::Debug for BitMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -923,7 +904,7 @@ impl<W: Word> fmt::Debug for BitMatrix<W> {
     }
 }
 
-impl<W: Word> fmt::Display for BitMatrix<W> {
+impl fmt::Display for BitMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -939,9 +920,8 @@ impl<W: Word> fmt::Display for BitMatrix<W> {
 /// the operand type of the counting and `(min, +)` semirings used by the
 /// algebraic clique protocols.
 ///
-/// Entries are integer *values*, not lanes, so [`IntMatrix`] is not generic
-/// over [`Word`]; its packed conversions go through the default-lane
-/// [`BitMatrix`].
+/// Entries are integer *values*, not lanes; 0/1 matrices convert to and
+/// from the packed [`BitMatrix`].
 ///
 /// [`IntMatrix::INFINITY`] (`u64::MAX`) is the reserved "no path" value of
 /// the `(min, +)` semiring; all arithmetic saturates below it, so finite
@@ -1123,8 +1103,7 @@ impl IntMatrix {
             let words = m.row_words_mut(i);
             for (j, &v) in row.iter().enumerate() {
                 if v == 1 {
-                    words[j / <DefaultLane as Word>::BITS] |=
-                        DefaultLane::bit(j % <DefaultLane as Word>::BITS);
+                    words[j / LANE_BITS] |= 1 << (j % LANE_BITS);
                 }
             }
         }
@@ -1137,9 +1116,9 @@ impl IntMatrix {
         for i in 0..m.rows() {
             for (wi, &word) in m.row_words(i).iter().enumerate() {
                 let mut bits = word;
-                while bits != DefaultLane::ZERO {
-                    let j = wi * <DefaultLane as Word>::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
+                while bits != 0 {
+                    let j = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     out.data[i * out.cols + j] = 1;
                 }
             }
@@ -1336,8 +1315,8 @@ mod tests {
     #[ignore = "perf probe; run with --ignored --nocapture on a quiet host"]
     fn probe_tile_sizes() {
         for d in [512usize, 1024, 2048] {
-            let a = pseudo_random::<u64>(d, d, 0xA5);
-            let b = pseudo_random::<u64>(d, d, 0x5A);
+            let a = pseudo_random(d, d, 0xA5);
+            let b = pseudo_random(d, d, 0x5A);
             let w = b.words_per_row;
             let mut out = vec![0u64; d * w];
             let reps = (64 * 1024 * 1024 / (d * d / 8)).clamp(3, 50);
@@ -1365,7 +1344,7 @@ mod tests {
     }
 
     /// The bool-at-a-time product the packed kernels must agree with.
-    fn scalar_product<W: Word>(a: &BitMatrix<W>, b: &BitMatrix<W>) -> BitMatrix<W> {
+    fn scalar_product(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
         let mut out = BitMatrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
             for j in 0..b.cols() {
@@ -1379,7 +1358,7 @@ mod tests {
         out
     }
 
-    fn pseudo_random<W: Word>(rows: usize, cols: usize, seed: u64) -> BitMatrix<W> {
+    fn pseudo_random(rows: usize, cols: usize, seed: u64) -> BitMatrix {
         let mut m = BitMatrix::zeros(rows, cols);
         let mut state = seed | 1;
         for i in 0..rows {
@@ -1393,6 +1372,13 @@ mod tests {
         m
     }
 
+    /// The private word kernel over all output rows.
+    fn word_product(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
+        let mut out = BitMatrix::zeros(a.rows(), b.cols());
+        a.mul_f2_word_range(b, 0, &mut out.data);
+        out
+    }
+
     #[test]
     fn round_trips_between_representations() {
         let rows = vec![
@@ -1400,7 +1386,7 @@ mod tests {
             vec![false, false, false],
             vec![true, true, true],
         ];
-        let m = BitMatrix::<DefaultLane>::from_rows(&rows);
+        let m = BitMatrix::from_rows(&rows);
         assert_eq!(m.to_rows(), rows);
         assert_eq!((m.rows(), m.cols()), (3, 3));
         assert_eq!(m.count_ones(), 5);
@@ -1411,7 +1397,7 @@ mod tests {
 
     #[test]
     fn set_and_get_across_word_boundaries() {
-        let mut m = BitMatrix::<DefaultLane>::zeros(2, 130);
+        let mut m = BitMatrix::zeros(2, 130);
         m.set(0, 0, true);
         m.set(0, 63, true);
         m.set(0, 64, true);
@@ -1423,7 +1409,8 @@ mod tests {
         assert_eq!(m.count_ones(), 3);
     }
 
-    fn kernels_match_scalar_for<W: Word>() {
+    #[test]
+    fn both_kernels_match_the_scalar_product() {
         for (ra, c, cb, seed) in [
             (1usize, 1usize, 1usize, 1u64),
             (3, 5, 4, 2),
@@ -1431,10 +1418,10 @@ mod tests {
             (8, 65, 70, 4),
             (20, 130, 20, 5),
         ] {
-            let a = pseudo_random::<W>(ra, c, seed);
-            let b = pseudo_random::<W>(c, cb, seed + 100);
+            let a = pseudo_random(ra, c, seed);
+            let b = pseudo_random(c, cb, seed + 100);
             let expected = scalar_product(&a, &b);
-            assert_eq!(a.mul_f2_word(&b), expected, "word kernel {ra}x{c}x{cb}");
+            assert_eq!(word_product(&a, &b), expected, "word kernel {ra}x{c}x{cb}");
             assert_eq!(
                 a.mul_f2_four_russians(&b),
                 expected,
@@ -1445,12 +1432,6 @@ mod tests {
     }
 
     #[test]
-    fn both_kernels_match_the_scalar_product() {
-        kernels_match_scalar_for::<u64>();
-        kernels_match_scalar_for::<u128>();
-    }
-
-    #[test]
     fn blocked_four_russians_matches_scalar_above_threshold() {
         // Above FOUR_RUSSIANS_MIN_DIM several tiles are in play; rectangular
         // shapes exercise partial last blocks and partial last tiles.
@@ -1458,8 +1439,8 @@ mod tests {
             (FOUR_RUSSIANS_MIN_DIM, FOUR_RUSSIANS_MIN_DIM, 60usize, 71u64),
             (40, 300, 333, 72),
         ] {
-            let a = pseudo_random::<u64>(ra, c, seed);
-            let b = pseudo_random::<u64>(c, cb, seed + 100);
+            let a = pseudo_random(ra, c, seed);
+            let b = pseudo_random(c, cb, seed + 100);
             assert_eq!(
                 a.mul_f2_four_russians(&b),
                 scalar_product(&a, &b),
@@ -1470,23 +1451,23 @@ mod tests {
 
     #[test]
     fn dispatch_threshold_selects_the_expected_kernel() {
-        assert!(!BitMatrix::<u64>::dispatches_to_four_russians(0));
-        assert!(!BitMatrix::<u64>::dispatches_to_four_russians(
+        assert!(!BitMatrix::dispatches_to_four_russians(0));
+        assert!(!BitMatrix::dispatches_to_four_russians(
             FOUR_RUSSIANS_MIN_DIM - 1
         ));
-        assert!(BitMatrix::<u64>::dispatches_to_four_russians(
+        assert!(BitMatrix::dispatches_to_four_russians(
             FOUR_RUSSIANS_MIN_DIM
         ));
         // And the routed kernel agrees with the other path at the threshold.
         let d = FOUR_RUSSIANS_MIN_DIM;
-        let a = pseudo_random::<DefaultLane>(4, d, 7);
+        let a = pseudo_random(4, d, 7);
         let b = pseudo_random(d, 4, 8);
-        assert_eq!(a.mul_f2(&b), a.mul_f2_word(&b));
+        assert_eq!(a.mul_f2(&b), word_product(&a, &b));
     }
 
     #[test]
     fn identity_is_neutral() {
-        let m = pseudo_random::<DefaultLane>(9, 9, 11);
+        let m = pseudo_random(9, 9, 11);
         let id = BitMatrix::identity(9);
         assert_eq!(m.mul_f2(&id), m);
         assert_eq!(id.mul_f2(&m), m);
@@ -1494,7 +1475,7 @@ mod tests {
 
     #[test]
     fn mask_columns_zeroes_unselected_columns() {
-        let m = pseudo_random::<DefaultLane>(5, 70, 13);
+        let m = pseudo_random(5, 70, 13);
         let mask: Vec<bool> = (0..70).map(|j| j % 3 != 0).collect();
         let masked = m.mask_columns(&mask);
         for i in 0..5 {
@@ -1506,7 +1487,7 @@ mod tests {
 
     #[test]
     fn xor_is_elementwise() {
-        let a = pseudo_random::<DefaultLane>(4, 66, 17);
+        let a = pseudo_random(4, 66, 17);
         let b = pseudo_random(4, 66, 19);
         let c = a.xor(&b);
         for i in 0..4 {
@@ -1517,31 +1498,25 @@ mod tests {
         assert!(a.xor(&a).count_ones() == 0);
     }
 
-    fn set_row_words_masks_padding_for<W: Word>() {
-        let mut m = BitMatrix::<W>::zeros(2, 70);
-        let words = vec![W::ONES; 70usize.div_ceil(W::BITS)];
+    #[test]
+    fn set_row_words_masks_padding() {
+        let mut m = BitMatrix::zeros(2, 70);
+        let words = vec![u64::MAX; 70usize.div_ceil(LANE_BITS)];
         m.set_row_words(1, &words);
         assert_eq!(m.count_ones(), 70);
-        let rem = 70 % W::BITS;
         assert_eq!(
-            *m.row_words(1).last().unwrap() & !W::mask_low(rem),
-            W::ZERO,
+            *m.row_words(1).last().unwrap() & !mask_low(70 % LANE_BITS),
+            0,
             "padding bits must stay zero"
         );
     }
 
     #[test]
-    fn set_row_words_masks_padding() {
-        set_row_words_masks_padding_for::<u64>();
-        set_row_words_masks_padding_for::<u128>();
-    }
-
-    #[test]
     fn empty_matrices_multiply() {
-        let a = BitMatrix::<DefaultLane>::zeros(0, 5);
+        let a = BitMatrix::zeros(0, 5);
         let b = BitMatrix::zeros(5, 3);
         assert_eq!(a.mul_f2(&b).rows(), 0);
-        let a = BitMatrix::<DefaultLane>::zeros(3, 0);
+        let a = BitMatrix::zeros(3, 0);
         let b = BitMatrix::zeros(0, 4);
         let c = a.mul_f2(&b);
         assert_eq!((c.rows(), c.cols()), (3, 4));
@@ -1551,21 +1526,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner dimensions differ")]
     fn mismatched_inner_dimensions_panic() {
-        let a = BitMatrix::<DefaultLane>::zeros(2, 3);
+        let a = BitMatrix::zeros(2, 3);
         let b = BitMatrix::zeros(4, 2);
         let _ = a.mul_f2(&b);
     }
 
     #[test]
     fn debug_and_display_are_informative() {
-        let m = BitMatrix::<DefaultLane>::identity(2);
+        let m = BitMatrix::identity(2);
         assert_eq!(format!("{m:?}"), "BitMatrix(2×2, 2 ones)");
         assert_eq!(m.to_string(), "10\n01\n");
     }
 
     #[test]
     fn transpose_round_trips_and_flips_entries() {
-        let m = pseudo_random::<DefaultLane>(7, 130, 23);
+        let m = pseudo_random(7, 130, 23);
         let t = m.transpose();
         assert_eq!((t.rows(), t.cols()), (130, 7));
         for i in 0..7 {
@@ -1576,8 +1551,9 @@ mod tests {
         assert_eq!(t.transpose(), m);
     }
 
-    fn submatrix_blocks_for<W: Word>() {
-        let m = pseudo_random::<W>(10, 200, 29);
+    #[test]
+    fn submatrix_extracts_blocks_across_word_boundaries() {
+        let m = pseudo_random(10, 200, 29);
         for (r0, c0, rows, cols) in [
             (0, 0, 10, 200),
             (3, 60, 4, 70),
@@ -1592,39 +1568,34 @@ mod tests {
                 }
             }
             // The BitMatrix invariant: no bits past `cols`.
-            let rem = cols % W::BITS;
+            let rem = cols % LANE_BITS;
             if rem > 0 {
                 for i in 0..rows {
-                    assert_eq!(*s.row_words(i).last().unwrap() & !W::mask_low(rem), W::ZERO);
+                    assert_eq!(*s.row_words(i).last().unwrap() & !mask_low(rem), 0);
                 }
             }
         }
     }
 
     #[test]
-    fn submatrix_extracts_blocks_across_word_boundaries() {
-        submatrix_blocks_for::<u64>();
-        submatrix_blocks_for::<u128>();
+    #[should_panic(expected = "exceeds")]
+    fn submatrix_rejects_out_of_range_blocks() {
+        let _ = BitMatrix::zeros(3, 3).submatrix(1, 1, 3, 2);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn submatrix_rejects_out_of_range_blocks() {
-        let _ = BitMatrix::<DefaultLane>::zeros(3, 3).submatrix(1, 1, 3, 2);
-    }
-
-    fn paste_round_trips_for<W: Word>() {
-        let m = pseudo_random::<W>(12, 300, 131);
+    fn paste_writes_blocks_and_preserves_surroundings() {
+        let m = pseudo_random(12, 300, 131);
         // Aligned and unaligned column offsets, straddling word boundaries.
         for (r0, c0, rows, cols) in [
             (0usize, 0usize, 12usize, 300usize),
-            (2, W::BITS, 5, W::BITS),
-            (3, W::BITS, 4, W::BITS + 7),
+            (2, LANE_BITS, 5, LANE_BITS),
+            (3, LANE_BITS, 4, LANE_BITS + 7),
             (1, 37, 6, 91),
             (4, 129, 3, 70),
         ] {
             let block = m.submatrix(r0, c0, rows, cols);
-            let mut target = pseudo_random::<W>(12, 300, 132);
+            let mut target = pseudo_random(12, 300, 132);
             let before = target.clone();
             target.paste(r0, c0, &block);
             for i in 0..12 {
@@ -1642,14 +1613,8 @@ mod tests {
     }
 
     #[test]
-    fn paste_writes_blocks_and_preserves_surroundings() {
-        paste_round_trips_for::<u64>();
-        paste_round_trips_for::<u128>();
-    }
-
-    #[test]
     fn padded_zero_extends() {
-        let m = pseudo_random::<DefaultLane>(5, 70, 141);
+        let m = pseudo_random(5, 70, 141);
         let p = m.padded(9, 133);
         assert_eq!((p.rows(), p.cols()), (9, 133));
         assert_eq!(p.submatrix(0, 0, 5, 70), m);
@@ -1679,7 +1644,8 @@ mod tests {
         }
     }
 
-    fn strassen_matches_dispatch_for<W: Word>() {
+    #[test]
+    fn strassen_product_matches_the_dispatcher_at_every_depth() {
         // Forced recursion on sizes far below the crossover keeps the test
         // cheap while exercising padding (non-power-of-two dims),
         // rectangularity and multi-level splits.
@@ -1690,8 +1656,8 @@ mod tests {
             (45, 90, 33, 2, 154),
             (100, 70, 129, 3, 155),
         ] {
-            let a = pseudo_random::<W>(ra, c, seed);
-            let b = pseudo_random::<W>(c, cb, seed + 50);
+            let a = pseudo_random(ra, c, seed);
+            let b = pseudo_random(c, cb, seed + 50);
             assert_eq!(
                 a.mul_f2_strassen_with_levels(&b, levels, 1),
                 a.mul_f2(&b),
@@ -1701,17 +1667,11 @@ mod tests {
     }
 
     #[test]
-    fn strassen_product_matches_the_dispatcher_at_every_depth() {
-        strassen_matches_dispatch_for::<u64>();
-        strassen_matches_dispatch_for::<u128>();
-    }
-
-    #[test]
     fn strassen_dispatch_below_crossover_is_the_plain_dispatcher() {
         // Below STRASSEN_MIN_DIM the public entry point must not pad or
         // split at all — identical to mul_f2 by construction.
         let d = 90;
-        let a = pseudo_random::<DefaultLane>(d, d, 161);
+        let a = pseudo_random(d, d, 161);
         let b = pseudo_random(d, d, 162);
         assert_eq!(strassen_levels(d), 0);
         assert_eq!(a.mul_f2_strassen(&b), a.mul_f2(&b));
@@ -1724,7 +1684,7 @@ mod tests {
             (5, 70, 6, 32),
             (9, 130, 9, 33),
         ] {
-            let a = pseudo_random::<DefaultLane>(ra, c, seed);
+            let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);
             let got = a.mul_bool(&b);
             for i in 0..ra {
@@ -1743,7 +1703,7 @@ mod tests {
             (6, 65, 7, 42),
             (8, 128, 8, 43),
         ] {
-            let a = pseudo_random::<DefaultLane>(ra, c, seed);
+            let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);
             let got = a.popcount_product(&b);
             for i in 0..ra {
@@ -1752,44 +1712,6 @@ mod tests {
                     assert_eq!(got.get(i, j), expected, "({i},{j})");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn lane_widths_agree_on_every_kernel() {
-        // The lanes-never-change-results invariant at the kernel level: the
-        // same logical matrices multiplied at u64 and u128 lanes.
-        for (ra, c, cb, seed) in [(9usize, 70usize, 13usize, 97u64), (20, 300, 20, 98)] {
-            let a64 = pseudo_random::<u64>(ra, c, seed);
-            let b64 = pseudo_random::<u64>(c, cb, seed + 1);
-            let a128 = pseudo_random::<u128>(ra, c, seed);
-            let b128 = pseudo_random::<u128>(c, cb, seed + 1);
-            assert_eq!(a64.to_rows(), a128.to_rows(), "inputs must agree");
-            assert_eq!(
-                a64.mul_f2(&b64).to_rows(),
-                a128.mul_f2(&b128).to_rows(),
-                "mul_f2 {ra}x{c}x{cb}"
-            );
-            assert_eq!(
-                a64.mul_bool(&b64).to_rows(),
-                a128.mul_bool(&b128).to_rows(),
-                "mul_bool {ra}x{c}x{cb}"
-            );
-            assert_eq!(
-                a64.popcount_product(&b64),
-                a128.popcount_product(&b128),
-                "popcount {ra}x{c}x{cb}"
-            );
-            assert_eq!(
-                a64.transpose().to_rows(),
-                a128.transpose().to_rows(),
-                "transpose"
-            );
-            assert_eq!(
-                a64.submatrix(1, 3, 5, 60).to_rows(),
-                a128.submatrix(1, 3, 5, 60).to_rows(),
-                "submatrix"
-            );
         }
     }
 
@@ -1913,7 +1835,7 @@ mod tests {
         // Above the PAR_MIN_ROWS seam and (for the dispatcher) on both
         // sides of the Four-Russians threshold.
         for d in [PAR_MIN_ROWS + 5, FOUR_RUSSIANS_MIN_DIM] {
-            let a = pseudo_random::<DefaultLane>(d, d, 81);
+            let a = pseudo_random(d, d, 81);
             let b = pseudo_random(d, d, 82);
             let f2 = a.mul_f2_with_threads(&b, 1);
             let or = a.mul_bool_with_threads(&b, 1);

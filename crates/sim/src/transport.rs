@@ -236,7 +236,7 @@ pub const FRAME_HEADER_BITS: usize = 96;
 /// FNV-1a over the payload's canonical little-endian byte serialisation
 /// ([`BitString::to_le_bytes`] — `ceil(len / 8)` bytes, zero-padded past
 /// `len`) plus its bit length. Hashing the canonical bytes, not the packed
-/// backing words, keeps the digest independent of the lane width.
+/// backing words, keeps the digest a function of the bits alone.
 fn payload_checksum(payload: &BitString) -> u64 {
     let mut hash = Fnv1a::new();
     hash.write(&payload.to_le_bytes());
@@ -279,8 +279,7 @@ pub fn unframe(framed: &BitString) -> Result<BitString, FaultKind> {
     if body > declared {
         return Err(FaultKind::Duplicate);
     }
-    let words = reader.read_words(declared).ok_or(FaultKind::Truncate)?;
-    let payload = BitString::from_words(&words, declared);
+    let payload = reader.read_bitstring(declared).ok_or(FaultKind::Truncate)?;
     if payload_checksum(&payload) != checksum {
         return Err(FaultKind::Corrupt);
     }
