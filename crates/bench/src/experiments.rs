@@ -1469,6 +1469,24 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_algebraic_tables_match_experiments_md() {
+        // E13 and E18 carry no wall-clock cells, so their quick tables are
+        // byte-reproducible and must match the committed write-up verbatim.
+        let committed = include_str!("../../../EXPERIMENTS.md");
+        for table in [
+            e13_semiring_matmul(Scale::Quick),
+            e18_fast_matmul(Scale::Quick),
+        ] {
+            assert!(
+                committed.contains(&table.to_markdown()),
+                "the {} table differs from EXPERIMENTS.md:\n{}",
+                table.id,
+                table.to_markdown()
+            );
+        }
+    }
+
+    #[test]
     fn parallel_scaling_transcripts_are_identical() {
         let table = e14_parallel_scaling(Scale::Quick);
         let col = table

@@ -1,5 +1,6 @@
 //! Algebraic protocols: the `O(n^{1/3})`-round distributed semiring matrix
-//! product and its consumers.
+//! product, its Strassen-partitioned and sparse schedules, and its
+//! consumers.
 //!
 //! Section 2.1 of the paper treats matrix multiplication as *the* lever for
 //! sub-trivial triangle detection; the follow-up line it opened —
@@ -8,7 +9,8 @@
 //! Clique Model* (DISC 2016) — showed that the unicast clique supports a
 //! genuinely *distributed* semiring matrix product in `O(n^{1/3}/b)` rounds
 //! via 3D partitioning over Lenzen-style routing, with no circuit in sight.
-//! This module implements that product and two workloads on top of it:
+//! This module implements that product, two faster schedules of it and two
+//! workloads on top of it:
 //!
 //! * [`SemiringMatMul`] — the 3D-partitioned product. The `d³` scalar
 //!   products of `C = A ⊗ B` are tiled into `g³ ≤ n` cubes (`g = ⌊n^{1/3}⌋`);
@@ -19,6 +21,9 @@
 //!   addition. Every node sends and receives `O(d²/n^{2/3})` entries per
 //!   phase, so for `d = n` and constant-width entries the product costs
 //!   `O(n^{1/3}/b)` rounds — experiment E13 measures exactly this scaling.
+//! * [`FastMatMul`] and [`SparseMatMul`] — the Strassen-partitioned and
+//!   nnz-charged schedules, picked per product by [`MatMulSchedule`]
+//!   (experiment E18).
 //! * [`TriangleCount`] — *exact* triangle counting (not just detection):
 //!   `M = A·A` over the counting semiring, then `trace(A³) = Σ_{v,j}
 //!   M[v][j]·A[v][j]` is assembled from one fixed-width broadcast per node
@@ -31,10 +36,18 @@
 //! Three semirings are supported (see [`Semiring`]): the Boolean semiring
 //! `(∨, ∧)` over packed [`BitMatrix`] operands, and the counting `(+, ×)`
 //! and tropical `(min, +)` semirings over small-integer [`IntMatrix`]
-//! operands. Like the routers' packet framing, the wire width of an entry
-//! is derived from public quantities (the dimension and the global entry
-//! bounds of the operands), so both endpoints of every link agree on the
-//! format without extra communication.
+//! operands.
+//!
+//! The three schedules share one substrate. Every matrix entry travels on
+//! one entry wire (`Wire`): a fixed width, a bias for signed values and an
+//! optional all-ones sentinel for [`IntMatrix::INFINITY`]. Like the routers'
+//! packet framing, each wire is derived from public quantities (the
+//! dimension and the global entry bounds of the operands), so both
+//! endpoints of every link agree on the format without extra
+//! communication. Every phase is one routed exchange (`RoutedExchange`)
+//! through the [`BalancedRouter`], chunked for the fast schedule. The fast
+//! schedule's leaf products are the cubic schedule's cube exchange
+//! (`CubeExchange`), run once per leaf group.
 //!
 //! The per-node local block products run through the
 //! [`clique_sim::linalg`](crate::sim::linalg) kernels, whose dispatchers
@@ -45,7 +58,7 @@
 //! pins — is identical at any worker count. Experiment E14 measures the
 //! wall-clock side of these protocols on the pool.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use clique_graphs::Graph;
@@ -82,6 +95,16 @@ impl Semiring {
             Semiring::F2 => "f2",
             Semiring::Counting => "counting",
             Semiring::MinPlus => "min-plus",
+        }
+    }
+
+    /// The additive identity as an entry: [`IntMatrix::INFINITY`] under
+    /// `(min, +)`, 0 elsewhere — the entries a [`SparseMatMul`] never
+    /// communicates.
+    fn zero(&self) -> u64 {
+        match self {
+            Semiring::MinPlus => IntMatrix::INFINITY,
+            _ => 0,
         }
     }
 
@@ -153,10 +176,7 @@ impl SemiringMatrix {
     fn identity_filled(semiring: Semiring, rows: usize, cols: usize) -> SemiringMatrix {
         match semiring {
             Semiring::Boolean | Semiring::F2 => SemiringMatrix::Bits(BitMatrix::zeros(rows, cols)),
-            Semiring::Counting => SemiringMatrix::Ints(IntMatrix::zeros(rows, cols)),
-            Semiring::MinPlus => {
-                SemiringMatrix::Ints(IntMatrix::filled(rows, cols, IntMatrix::INFINITY))
-            }
+            _ => SemiringMatrix::Ints(IntMatrix::filled(rows, cols, semiring.zero())),
         }
     }
 
@@ -235,16 +255,25 @@ impl SemiringMatrix {
     pub fn nnz(&self, semiring: Semiring) -> usize {
         match self {
             SemiringMatrix::Bits(m) => m.count_ones(),
-            SemiringMatrix::Ints(m) => {
-                let identity = match semiring {
-                    Semiring::MinPlus => IntMatrix::INFINITY,
-                    _ => 0,
-                };
-                (0..m.rows())
-                    .map(|r| m.row(r).iter().filter(|&&v| v != identity).count())
-                    .sum()
-            }
+            SemiringMatrix::Ints(m) => (0..m.rows())
+                .map(|r| m.row(r).iter().filter(|&&v| v != semiring.zero()).count())
+                .sum(),
         }
+    }
+
+    /// A `side × side` matrix of a ring-embeddable semiring from signed
+    /// row-major sums: the parity of each sum over `F₂`, the
+    /// two's-complement-wrapped sum for counting.
+    fn from_signed(semiring: Semiring, side: usize, sums: &[i64]) -> SemiringMatrix {
+        let mut m = SemiringMatrix::identity_filled(semiring, side, side);
+        let mask = if semiring == Semiring::F2 { 1 } else { -1 };
+        for (r, row) in sums.chunks(side).enumerate() {
+            let mut row = row.iter();
+            m.update_row(r, 0..side, |_| {
+                (row.next().expect("one sum per entry") & mask) as u64
+            });
+        }
+        m
     }
 }
 
@@ -279,125 +308,172 @@ impl Partition {
         r * self.n / self.d
     }
 
-    /// The player computing cube `(i, j, k)`.
-    fn cube_node(&self, i: usize, j: usize, k: usize) -> usize {
-        (i * self.g + j) * self.g + k
+    /// The rows player `v` holds, the inverse of [`Partition::row_owner`]:
+    /// `⌊r·n/d⌋ = v` exactly for `⌈v·d/n⌉ ≤ r < ⌈(v+1)·d/n⌉`.
+    fn owned_rows(&self, v: usize) -> Range<usize> {
+        (v * self.d).div_ceil(self.n)..((v + 1) * self.d).div_ceil(self.n)
+    }
+
+    /// The cubes `(w, i, j, k)` with row block `i` in `blocks`, in
+    /// canonical order: cube `(i, j, k)` is computed by player
+    /// `w = (i·g + j)·g + k`.
+    fn cubes(&self, blocks: Range<usize>) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let g = self.g;
+        blocks.flat_map(move |i| {
+            (0..g).flat_map(move |j| (0..g).map(move |k| ((i * g + j) * g + k, i, j, k)))
+        })
     }
 }
 
-/// Fixed wire widths for matrix entries, derived from public quantities
-/// (the dimension and the operands' global entry bounds) so both endpoints
-/// agree on the framing — the same convention the routers' `PacketCodec`
-/// uses. `(min, +)` encodes [`IntMatrix::INFINITY`] as the all-ones
-/// pattern; the widths are chosen so no finite entry collides with it.
+/// The fixed wire format of one matrix entry: `value + bias` (wrapping)
+/// in `width` bits, with the all-ones pattern reserved for
+/// [`IntMatrix::INFINITY`] on a `sentinel` wire. Every wire derives from
+/// public quantities (the dimension, the operands' global entry bounds, a
+/// leaf's term counts) so both endpoints agree on the framing — the same
+/// convention the routers' `PacketCodec` uses.
 #[derive(Clone, Copy, Debug)]
-struct EntryCodec {
-    semiring: Semiring,
-    /// Width of an input-matrix entry (phase 1).
-    input_bits: usize,
-    /// Width of a partial-product entry (phase 2).
-    partial_bits: usize,
+struct Wire {
+    width: usize,
+    bias: u64,
+    sentinel: bool,
 }
 
-impl EntryCodec {
-    fn new(
+impl Wire {
+    /// Entries in `0..=max` (one bit for 0/1 entries).
+    fn unsigned(max: u64) -> Wire {
+        Wire {
+            width: bits_for_universe(max.saturating_add(1)).max(1),
+            bias: 0,
+            sentinel: false,
+        }
+    }
+
+    /// `(min, +)` entries: finite values in `0..=max` plus one pattern
+    /// above them for the INFINITY sentinel.
+    fn tropical(max: u64) -> Wire {
+        Wire {
+            width: bits_for_universe(max.saturating_add(2)).max(1),
+            bias: 0,
+            sentinel: true,
+        }
+    }
+
+    /// Signed entries in `[-bound, bound]`, held two's-complement-wrapped
+    /// and sent offset by `bound`.
+    fn signed(bound: u64) -> Wire {
+        Wire {
+            width: bits_for_universe(2 * bound + 1).max(1),
+            bias: bound,
+            sentinel: false,
+        }
+    }
+
+    /// The (input, partial-product) wires of a semiring product whose
+    /// partial entries fold at most `max_inner` scalar products.
+    fn for_product(
         semiring: Semiring,
         a: &SemiringMatrix,
         b: &SemiringMatrix,
         max_inner: usize,
-    ) -> EntryCodec {
+    ) -> (Wire, Wire) {
         let (ma, mb) = (a.max_finite(), b.max_finite());
-        let (input_bits, partial_bits) = match semiring {
-            Semiring::Boolean | Semiring::F2 => (1, 1),
+        match semiring {
+            Semiring::Boolean | Semiring::F2 => (Wire::unsigned(1), Wire::unsigned(1)),
             Semiring::Counting => {
-                // Partial entries are sums of ≤ max_inner products.
                 let partial_max = u128::from(ma)
                     .saturating_mul(u128::from(mb))
                     .saturating_mul(max_inner as u128)
                     .min(u128::from(IntMatrix::INFINITY - 1))
                     as u64;
-                (
-                    bits_for_universe(ma.max(mb).saturating_add(1)).max(1),
-                    bits_for_universe(partial_max.saturating_add(1)).max(1),
-                )
+                (Wire::unsigned(ma.max(mb)), Wire::unsigned(partial_max))
             }
-            Semiring::MinPlus => {
-                // One extra value above the finite range for the all-ones
-                // INFINITY sentinel.
-                (
-                    bits_for_universe(ma.max(mb).saturating_add(2)).max(1),
-                    bits_for_universe(ma.saturating_add(mb).saturating_add(2)).max(1),
-                )
-            }
-        };
-        EntryCodec {
-            semiring,
-            input_bits,
-            partial_bits,
+            Semiring::MinPlus => (
+                Wire::tropical(ma.max(mb)),
+                Wire::tropical(ma.saturating_add(mb)),
+            ),
         }
     }
 
-    fn all_ones(width: usize) -> u64 {
-        if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        }
+    fn all_ones(&self) -> u64 {
+        u64::MAX >> (64 - self.width)
     }
 
-    fn encode(&self, value: u64, width: usize, out: &mut BitString) {
-        let wire = if self.semiring == Semiring::MinPlus && value == IntMatrix::INFINITY {
-            Self::all_ones(width)
+    fn encode(&self, value: u64, out: &mut BitString) {
+        let raw = if self.sentinel && value == IntMatrix::INFINITY {
+            self.all_ones()
         } else {
-            // Finite values must fit the width; under (min, +) they must
-            // additionally stay clear of the all-ones sentinel.
-            debug_assert!(value <= Self::all_ones(width));
+            let raw = value.wrapping_add(self.bias);
             debug_assert!(
-                self.semiring != Semiring::MinPlus || value < Self::all_ones(width),
-                "finite (min, +) value collides with the INFINITY sentinel"
+                raw < self.all_ones() || (raw == self.all_ones() && !self.sentinel),
+                "entry {value} exceeds its public wire bound"
             );
-            value
+            raw
         };
-        out.push_bits(wire, width);
+        out.push_bits(raw, self.width);
     }
 
-    fn decode(&self, reader: &mut BitReader<'_>, width: usize) -> u64 {
+    fn decode(&self, reader: &mut BitReader<'_>) -> u64 {
         let raw = reader
-            .read_bits(width)
-            .expect("malformed semiring-matmul record");
-        if self.semiring == Semiring::MinPlus && raw == Self::all_ones(width) {
+            .read_bits(self.width)
+            .expect("malformed matrix-entry record");
+        if self.sentinel && raw == self.all_ones() {
             IntMatrix::INFINITY
         } else {
-            raw
+            raw.wrapping_sub(self.bias)
         }
-    }
-
-    fn encode_input(&self, value: u64, out: &mut BitString) {
-        self.encode(value, self.input_bits, out);
-    }
-
-    fn decode_input(&self, reader: &mut BitReader<'_>) -> u64 {
-        self.decode(reader, self.input_bits)
-    }
-
-    fn encode_partial(&self, value: u64, out: &mut BitString) {
-        self.encode(value, self.partial_bits, out);
-    }
-
-    fn decode_partial(&self, reader: &mut BitReader<'_>) -> u64 {
-        self.decode(reader, self.partial_bits)
     }
 }
 
-/// Readers over the packets one destination received in a balanced-routing
-/// phase, indexed by source player (`None` where that player sent nothing).
-/// Every caller sends at most one packet per `(src, dst)` pair.
-fn readers_by_source(n: usize, packets: &[Packet]) -> Vec<Option<BitReader<'_>>> {
-    let mut readers = vec![None; n];
-    for p in packets {
-        readers[p.src.index()] = Some(p.payload.reader());
+/// One balanced-routing exchange, the single route step of every schedule
+/// in this module. Sends enter the [`RoutingDemand`] in the order they are
+/// queued — the schedules' canonical order, on which the greedy
+/// intermediary assignment depends — and empty payloads are never sent.
+/// With a [`Chunker`] every payload travels as sequence-tagged chunks and
+/// is reassembled on delivery.
+struct RoutedExchange {
+    demand: RoutingDemand,
+    chunker: Option<Chunker>,
+}
+
+impl RoutedExchange {
+    fn new(n: usize, chunker: Option<Chunker>) -> RoutedExchange {
+        RoutedExchange {
+            demand: RoutingDemand::new(n),
+            chunker,
+        }
     }
-    readers
+
+    fn send(&mut self, src: usize, dst: usize, payload: BitString) {
+        match &self.chunker {
+            Some(chunker) => chunker.send(&mut self.demand, src, dst, &payload),
+            None if !payload.is_empty() => self.demand.send(src, dst, payload),
+            None => {}
+        }
+    }
+
+    fn route(self, session: &mut Session) -> Result<Delivery, SimError> {
+        let delivered = BalancedRouter.route(&self.demand, session)?;
+        Ok(Delivery(match &self.chunker {
+            Some(chunker) => delivered.iter().map(|p| chunker.merge(p)).collect(),
+            None => delivered,
+        }))
+    }
+}
+
+/// What a [`RoutedExchange`] delivered: per destination, at most one
+/// logical payload per source.
+struct Delivery(Vec<Vec<Packet>>);
+
+impl Delivery {
+    /// Readers over the payloads `dst` received, indexed by source (`None`
+    /// where that player sent nothing).
+    fn readers(&self, dst: usize) -> Vec<Option<BitReader<'_>>> {
+        let mut readers = vec![None; self.0.len()];
+        for p in &self.0[dst] {
+            readers[p.src.index()] = Some(p.payload.reader());
+        }
+        readers
+    }
 }
 
 /// Chunk granularity (payload bits per routed packet) for the fast path.
@@ -418,7 +494,7 @@ const FAST_CHUNK_BITS: usize = 64;
 /// a pair's chunks interleaved by intermediary, so each chunk carries its
 /// sequence number; the tag width derives from a public bound on the
 /// largest logical payload, so both endpoints agree on the framing without
-/// extra communication (the [`EntryCodec`] convention).
+/// extra communication (the [`Wire`] convention).
 struct Chunker {
     max_payload_bits: usize,
     seq_width: usize,
@@ -458,31 +534,113 @@ impl Chunker {
     /// per source (ascending), restoring sender order from the sequence
     /// tags.
     fn merge(&self, packets: &[Packet]) -> Vec<Packet> {
-        let mut tagged: Vec<(usize, u64, &Packet)> = packets
+        let mut tagged: Vec<(u64, &Packet, BitString)> = packets
             .iter()
             .map(|p| {
-                let seq = p
-                    .payload
-                    .reader()
+                let mut reader = p.payload.reader();
+                let seq = reader
                     .read_bits(self.seq_width)
                     .expect("malformed fast-matmul chunk tag");
-                (p.src.index(), seq, p)
+                let body = reader
+                    .read_bitstring(reader.remaining())
+                    .expect("chunk payload");
+                (seq, p, body)
             })
             .collect();
-        tagged.sort_unstable_by_key(|&(src, seq, _)| (src, seq));
+        tagged.sort_unstable_by_key(|&(seq, p, _)| (p.src.index(), seq));
         let mut merged: Vec<Packet> = Vec::new();
-        for (_, _, p) in tagged {
-            let mut reader = p.payload.reader();
-            reader.read_bits(self.seq_width).expect("tag parsed above");
-            let body = reader
-                .read_bitstring(reader.remaining())
-                .expect("chunk payload");
+        for (_, p, body) in tagged {
             match merged.last_mut() {
                 Some(m) if m.src == p.src => m.payload.extend_from(&body),
                 _ => merged.push(Packet::new(p.src, p.dst, body)),
             }
         }
         merged
+    }
+}
+
+/// The 3D cube exchange of one player group: phase 1 and the local block
+/// products of [`SemiringMatMul`], and phase 2 of [`FastMatMul`] on each
+/// leaf group. Cube node `offset + w` for cube `(w, i, j, k)` needs block
+/// `A_{ik}` and block `B_{kj}`; each packet `v → w` carries `v`'s rows of
+/// `A_{ik}` then `v`'s rows of `B_{kj}`, rows ascending, entries in column
+/// order on the side's wire — a canonical layout both sides derive from
+/// public quantities alone.
+struct CubeExchange<'m> {
+    /// First player of the group.
+    offset: usize,
+    part: Partition,
+    /// The `A` and `B` operands, indexed by group-local row and column.
+    operands: [&'m SemiringMatrix; 2],
+    wires: [Wire; 2],
+}
+
+impl CubeExchange<'_> {
+    /// Queues every block row a cube node needs from another player, cubes
+    /// in canonical order, senders ascending.
+    fn send(&self, exchange: &mut RoutedExchange) {
+        let part = &self.part;
+        for (w, i, j, k) in part.cubes(0..part.g) {
+            let w = self.offset + w;
+            let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
+            for (side, row_block, col_block) in [(0, i, k), (1, k, j)] {
+                let wire = self.wires[side];
+                for r in part.block(row_block) {
+                    let v = self.offset + part.row_owner(r);
+                    if v == w {
+                        continue; // own input rows need no routing
+                    }
+                    let buf = payloads.entry(v).or_default();
+                    self.operands[side]
+                        .for_row(r, part.block(col_block), |value| wire.encode(value, buf));
+                }
+            }
+            for (v, payload) in payloads {
+                exchange.send(v, w, payload);
+            }
+        }
+    }
+
+    /// Every cube node reassembles its two blocks from `delivery` (plus its
+    /// own rows) and multiplies them with `kernel`; the partials come back
+    /// in canonical cube order.
+    fn products(
+        &self,
+        semiring: Semiring,
+        delivery: &Delivery,
+        kernel: impl Fn(&SemiringMatrix, &SemiringMatrix) -> SemiringMatrix,
+    ) -> Vec<SemiringMatrix> {
+        let part = &self.part;
+        part.cubes(0..part.g)
+            .map(|(w, i, j, k)| {
+                let w = self.offset + w;
+                let mut readers = delivery.readers(w);
+                let [a, b] = [(0, i, k), (1, k, j)].map(|(side, row_block, col_block)| {
+                    let (rows, cols) = (part.block(row_block), part.block(col_block));
+                    let operand = self.operands[side];
+                    let mut block =
+                        SemiringMatrix::identity_filled(semiring, rows.len(), cols.len());
+                    for (bi, r) in rows.enumerate() {
+                        let v = self.offset + part.row_owner(r);
+                        if v == w {
+                            for (bj, c) in cols.clone().enumerate() {
+                                block.set_entry(bi, bj, operand.entry(r, c));
+                            }
+                        } else if !cols.is_empty() {
+                            // A zero-width segment was never sent, so only
+                            // look the reader up when there are entries.
+                            let reader = readers[v]
+                                .as_mut()
+                                .expect("missing cube-exchange block packet");
+                            block
+                                .update_row(bi, 0..cols.len(), |_| self.wires[side].decode(reader));
+                        }
+                    }
+                    block
+                });
+                kernel(&a, &b)
+            })
+            .collect()
     }
 }
 
@@ -542,15 +700,12 @@ impl<'a> SemiringMatMul<'a> {
                     semiring.name()
                 ),
             }
-            if semiring == Semiring::Counting {
-                if let Some(ints) = m.as_ints() {
-                    assert!(
-                        (0..ints.rows())
-                            .all(|i| ints.row(i).iter().all(|&v| v != IntMatrix::INFINITY)),
-                        "counting operand {name} contains the reserved INFINITY entry"
-                    );
-                }
-            }
+            // A counting operand's finite entries are exactly its (min, +)
+            // nonzeros.
+            assert!(
+                semiring != Semiring::Counting || m.nnz(Semiring::MinPlus) == d * d,
+                "counting operand {name} contains the reserved INFINITY entry"
+            );
         }
         Self { a, b, semiring }
     }
@@ -572,146 +727,74 @@ impl Protocol for SemiringMatMul<'_> {
             return Ok(SemiringMatrix::identity_filled(self.semiring, 0, 0));
         }
         let part = Partition::new(n, d);
-        let g = part.g;
-        let codec = EntryCodec::new(self.semiring, self.a, self.b, part.max_block_len());
+        let (input, partial_wire) =
+            Wire::for_product(self.semiring, self.a, self.b, part.max_block_len());
 
-        // Phase 1: the row owners ship the input blocks to the cube nodes.
-        // Cube node w = (i, j, k) needs A_{ik} (rows of block i, columns of
-        // block k) and B_{kj}; each packet (v → w) carries v's rows of
-        // A_{ik} then v's rows of B_{kj}, rows ascending, entries in column
-        // order — a canonical layout both sides derive from (n, d, g) alone.
-        let mut demand = RoutingDemand::new(n);
-        for i in 0..g {
-            for j in 0..g {
-                for k in 0..g {
-                    let w = part.cube_node(i, j, k);
-                    let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                    for (matrix, row_block, col_block) in [(self.a, i, k), (self.b, k, j)] {
-                        for r in part.block(row_block) {
-                            let v = part.row_owner(r);
-                            if v == w {
-                                continue; // own input rows need no routing
-                            }
-                            let buf = payloads.entry(v).or_default();
-                            matrix.for_row(r, part.block(col_block), |value| {
-                                codec.encode_input(value, buf)
-                            });
-                        }
-                    }
-                    for (v, payload) in payloads {
-                        if !payload.is_empty() {
-                            demand.send(v, w, payload);
-                        }
-                    }
-                }
-            }
-        }
-        let delivered = BalancedRouter.route(&demand, session)?;
-
-        // Local compute: every cube node reassembles its two blocks from
-        // the delivered packets (plus its own rows) and multiplies them
-        // with the semiring's local kernel.
-        let mut partials: Vec<SemiringMatrix> = Vec::with_capacity(g * g * g);
-        for i in 0..g {
-            for j in 0..g {
-                for k in 0..g {
-                    let w = part.cube_node(i, j, k);
-                    let mut readers = readers_by_source(n, &delivered[w]);
-                    let mut blocks: Vec<SemiringMatrix> = Vec::with_capacity(2);
-                    for (matrix, row_block, col_block) in [(self.a, i, k), (self.b, k, j)] {
-                        let (rows, cols) = (part.block(row_block), part.block(col_block));
-                        let mut block =
-                            SemiringMatrix::identity_filled(self.semiring, rows.len(), cols.len());
-                        for (bi, r) in rows.clone().enumerate() {
-                            let v = part.row_owner(r);
-                            if v == w {
-                                for (bj, c) in cols.clone().enumerate() {
-                                    block.set_entry(bi, bj, matrix.entry(r, c));
-                                }
-                            } else if !cols.is_empty() {
-                                // A zero-width segment was never sent (the
-                                // sender skips empty payloads), so only
-                                // look the reader up when there are entries
-                                // to read.
-                                let reader = readers[v]
-                                    .as_mut()
-                                    .expect("missing semiring-matmul input packet");
-                                block.update_row(bi, 0..cols.len(), |_| codec.decode_input(reader));
-                            }
-                        }
-                        blocks.push(block);
-                    }
-                    let b_block = blocks.pop().expect("two blocks built");
-                    let a_block = blocks.pop().expect("two blocks built");
-                    partials.push(a_block.product(&b_block, self.semiring));
-                }
-            }
-        }
+        // Phase 1: the row owners ship the input blocks to the cube nodes,
+        // which multiply them with the semiring's local kernel.
+        let cube = CubeExchange {
+            offset: 0,
+            part,
+            operands: [self.a, self.b],
+            wires: [input, input],
+        };
+        let mut exchange = RoutedExchange::new(n, None);
+        cube.send(&mut exchange);
+        let partials = cube.products(self.semiring, &exchange.route(session)?, |a, b| {
+            a.product(b, self.semiring)
+        });
 
         // Phase 2: each cube node routes its partial block to the output
         // row owners, who fold the g partials per entry with the semiring
         // addition.
         let mut output = SemiringMatrix::identity_filled(self.semiring, d, d);
-        let mut demand = RoutingDemand::new(n);
-        let mut partial_iter = partials.iter();
-        for i in 0..g {
-            for j in 0..g {
-                for k in 0..g {
-                    let w = part.cube_node(i, j, k);
-                    let partial = partial_iter.next().expect("one partial per cube");
-                    let (rows, cols) = (part.block(i), part.block(j));
-                    let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                    for (bi, r) in rows.clone().enumerate() {
-                        let v = part.row_owner(r);
-                        if v == w {
-                            // The cube node owns these output rows itself.
-                            for (bj, c) in cols.clone().enumerate() {
-                                output.combine_entry(self.semiring, r, c, partial.entry(bi, bj));
-                            }
-                        } else {
-                            let buf = payloads.entry(v).or_default();
-                            partial.for_row(bi, 0..cols.len(), |value| {
-                                codec.encode_partial(value, buf)
-                            });
-                        }
+        let mut exchange = RoutedExchange::new(n, None);
+        for ((w, i, j, _), partial) in part.cubes(0..part.g).zip(&partials) {
+            let (rows, cols) = (part.block(i), part.block(j));
+            let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
+            for (bi, r) in rows.enumerate() {
+                let v = part.row_owner(r);
+                if v == w {
+                    // The cube node owns these output rows itself.
+                    for (bj, c) in cols.clone().enumerate() {
+                        output.combine_entry(self.semiring, r, c, partial.entry(bi, bj));
                     }
-                    for (v, payload) in payloads {
-                        if !payload.is_empty() {
-                            demand.send(w, v, payload);
-                        }
-                    }
+                } else {
+                    let buf = payloads.entry(v).or_default();
+                    partial.for_row(bi, 0..cols.len(), |value| partial_wire.encode(value, buf));
                 }
             }
+            for (v, payload) in payloads {
+                exchange.send(w, v, payload);
+            }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
+        let delivery = exchange.route(session)?;
 
         // Fold the routed partials, walking cubes in the same canonical
         // order the senders used.
-        for (v, packets) in delivered.iter().enumerate() {
-            let mut readers = readers_by_source(n, packets);
-            for i in 0..g {
-                let owned: Vec<usize> = part.block(i).filter(|&r| part.row_owner(r) == v).collect();
-                if owned.is_empty() {
-                    continue;
+        for v in 0..n {
+            let mut readers = delivery.readers(v);
+            let owned = part.owned_rows(v);
+            for i in 0..part.g {
+                let rows = part.block(i);
+                let rows = rows.start.max(owned.start)..rows.end.min(owned.end);
+                if rows.is_empty() {
+                    continue; // no cube of this row block sends to v
                 }
-                for j in 0..g {
+                for (w, _, j, _) in part.cubes(i..i + 1) {
                     let cols = part.block(j);
-                    if cols.is_empty() {
-                        continue; // zero-width segments were never sent
+                    // Zero-width segments were never sent; own partials
+                    // were folded above.
+                    if cols.is_empty() || w == v {
+                        continue;
                     }
-                    for k in 0..g {
-                        let w = part.cube_node(i, j, k);
-                        if w == v {
-                            continue; // folded locally above
-                        }
-                        let reader = readers[w]
-                            .as_mut()
-                            .expect("missing semiring-matmul partial packet");
-                        for &r in &owned {
-                            output.update_row(r, cols.clone(), |old| {
-                                self.semiring.combine(old, codec.decode_partial(reader))
-                            });
-                        }
+                    let reader = readers[w]
+                        .as_mut()
+                        .expect("missing semiring-matmul partial packet");
+                    for r in rows.clone() {
+                        output.update_row(r, cols.clone(), |old| {
+                            self.semiring.combine(old, partial_wire.decode(reader))
+                        });
                     }
                 }
             }
@@ -846,56 +929,6 @@ fn strassen_leaf_coeffs(levels: u32) -> Vec<LeafCoeffs> {
     leaves
 }
 
-/// Signed offset wire encoding for the fast path's intermediate values: a
-/// value in `[-bound, bound]` travels as `value + bound` in
-/// `bits_for_universe(2·bound + 1)` bits. Both endpoints derive `bound`
-/// from public quantities (the operands' entry bounds and the leaf's term
-/// counts), mirroring the [`EntryCodec`] convention.
-#[derive(Clone, Copy, Debug)]
-struct SignedCodec {
-    bound: i64,
-    width: usize,
-}
-
-impl SignedCodec {
-    fn new(bound: u64) -> SignedCodec {
-        SignedCodec {
-            bound: bound as i64,
-            width: bits_for_universe(2 * bound + 1).max(1),
-        }
-    }
-
-    fn encode(&self, value: i64, out: &mut BitString) {
-        debug_assert!(
-            value.abs() <= self.bound,
-            "signed value exceeds its public bound"
-        );
-        out.push_bits((value + self.bound) as u64, self.width);
-    }
-
-    fn decode(&self, reader: &mut BitReader<'_>) -> i64 {
-        let raw = reader
-            .read_bits(self.width)
-            .expect("malformed fast-matmul record");
-        raw as i64 - self.bound
-    }
-}
-
-/// The per-leaf combined operands, in the representation the leaf's local
-/// kernel multiplies: packed bits over `F₂` (block combination is XOR, so
-/// entries stay one bit wide at every depth), two's-complement-wrapped
-/// signed integers for counting.
-enum LeafOperands {
-    Bits(BitMatrix, BitMatrix),
-    Ints(IntMatrix, IntMatrix),
-}
-
-/// A cube node's partial product of combined leaf blocks.
-enum LeafPartial {
-    Bits(BitMatrix),
-    Ints(IntMatrix),
-}
-
 /// Whether a depth-`levels` counting-semiring Strassen schedule is exact:
 /// the cubic comparison must not saturate (true entries `≤ ma·mb·d` stay
 /// below [`IntMatrix::INFINITY`]) and every signed intermediate — combined
@@ -1021,24 +1054,18 @@ impl Protocol for FastMatMul<'_> {
         if d == 0 {
             return Ok(SemiringMatrix::identity_filled(self.semiring, 0, 0));
         }
-        let levels = match self.levels {
-            Some(levels) => {
-                assert!(
-                    levels == 0 || 7usize.pow(levels) <= n,
-                    "a depth-{levels} strassen schedule needs 7^{levels} ≤ n = {n} players"
-                );
-                levels
-            }
-            None => Self::levels_for(n, d),
-        };
+        let levels = self.levels.unwrap_or_else(|| Self::levels_for(n, d));
+        assert!(
+            levels == 0 || 7usize.pow(levels) <= n,
+            "a depth-{levels} strassen schedule needs 7^{levels} ≤ n = {n} players"
+        );
         if levels == 0 {
             // Too few players for 7 disjoint groups: cubic fallback.
             return session.run_protocol(&mut SemiringMatMul::new(self.a, self.b, self.semiring));
         }
 
         let leaves = strassen_leaf_coeffs(levels);
-        let p = strassen_padded_dim(d, levels);
-        let q = p >> levels;
+        let q = strassen_padded_dim(d, levels) >> levels;
         let global = Partition::new(n, d);
         let group_start = |t: usize| t * n / leaves.len();
         let leaf_parts: Vec<Partition> = (0..leaves.len())
@@ -1054,22 +1081,18 @@ impl Protocol for FastMatMul<'_> {
         }
         // Raw input entries (phase 1) are unsigned originals; combined and
         // partial entries (phases 2–3) are signed with per-leaf public
-        // bounds. Over F₂ every width is one bit.
-        let raw_width = match self.semiring {
-            Semiring::F2 => 1,
-            _ => bits_for_universe(ma.max(mb).saturating_add(1)).max(1),
-        };
-        let wires: Vec<(SignedCodec, SignedCodec, SignedCodec)> = leaves
+        // bounds (A side, B side, partial). Over F₂ every wire is one bit.
+        let raw = Wire::unsigned(ma.max(mb));
+        let wires: Vec<[Wire; 3]> = leaves
             .iter()
-            .map(|leaf| {
-                let ba = leaf.a_terms.len() as u64 * ma;
-                let bb = leaf.b_terms.len() as u64 * mb;
-                let bp = (u128::from(ba) * u128::from(bb) * q as u128) as u64;
-                (
-                    SignedCodec::new(ba),
-                    SignedCodec::new(bb),
-                    SignedCodec::new(bp),
-                )
+            .map(|leaf| match self.semiring {
+                Semiring::F2 => [Wire::unsigned(1); 3],
+                _ => {
+                    let ba = leaf.a_terms.len() as u64 * ma;
+                    let bb = leaf.b_terms.len() as u64 * mb;
+                    let bp = (u128::from(ba) * u128::from(bb) * q as u128) as u64;
+                    [Wire::signed(ba), Wire::signed(bb), Wire::signed(bp)]
+                }
             })
             .collect();
 
@@ -1080,383 +1103,181 @@ impl Protocol for FastMatMul<'_> {
         let global_rpo = d.div_ceil(n).max(1);
         let max_a_terms = leaves.iter().map(|l| l.a_terms.len()).max().unwrap_or(1);
         let max_b_terms = leaves.iter().map(|l| l.b_terms.len()).max().unwrap_or(1);
-        let chunk1 = Chunker::new((max_a_terms + max_b_terms) * global_rpo * q * raw_width);
+        let chunk1 = Chunker::new((max_a_terms + max_b_terms) * global_rpo * q * raw.width);
         let (mut bound2, mut bound3) = (0usize, 0usize);
         for (t, leaf) in leaves.iter().enumerate() {
             let lp = &leaf_parts[t];
             let bl = lp.max_block_len();
             let lp_rpo = lp.d.div_ceil(lp.n).max(1);
-            let (w2, w3) = match self.semiring {
-                Semiring::F2 => (1, 1),
-                _ => (wires[t].0.width.max(wires[t].1.width), wires[t].2.width),
-            };
-            bound2 = bound2.max(2 * lp_rpo.min(bl) * bl * w2);
-            bound3 = bound3.max(leaf.c_terms.len() * global_rpo.min(bl) * bl * w3);
+            let [wa, wb, wp] = wires[t];
+            bound2 = bound2.max(2 * lp_rpo.min(bl) * bl * wa.width.max(wb.width));
+            bound3 = bound3.max(leaf.c_terms.len() * global_rpo.min(bl) * bl * wp.width);
         }
-        let chunk2 = Chunker::new(bound2);
-        let chunk3 = Chunker::new(bound3);
 
         // Phase 1 (pre-combine): original row owners → leaf-row owners.
         // Rows and columns at or beyond d are padding both endpoints skip
-        // (p and the term lists are public).
-        let mut demand = RoutingDemand::new(n);
+        // (d, q and the term lists are public).
+        let segment = |&(bi, bj, sign): &(usize, usize, i64), rl: usize| {
+            let r = bi * q + rl;
+            (r < d && bj * q < d).then(|| (sign, r, bj * q..((bj + 1) * q).min(d)))
+        };
+        let mut exchange = RoutedExchange::new(n, Some(chunk1));
         for (t, leaf) in leaves.iter().enumerate() {
             let (gs, lp) = (group_start(t), &leaf_parts[t]);
             let mut payloads: BTreeMap<(usize, usize), BitString> = BTreeMap::new();
             for (matrix, terms) in [(self.a, &leaf.a_terms), (self.b, &leaf.b_terms)] {
                 for rl in 0..q {
                     let o = gs + lp.row_owner(rl);
-                    for &(bi, bj, _) in terms {
-                        let r = bi * q + rl;
-                        if r >= d || bj * q >= d {
-                            continue;
-                        }
+                    for (_, r, cols) in terms.iter().filter_map(|term| segment(term, rl)) {
                         let v = global.row_owner(r);
-                        if v == o {
-                            continue;
-                        }
-                        let buf = payloads.entry((v, o)).or_default();
-                        for c in bj * q..((bj + 1) * q).min(d) {
-                            buf.push_bits(matrix.entry(r, c), raw_width);
+                        if v != o {
+                            let buf = payloads.entry((v, o)).or_default();
+                            matrix.for_row(r, cols, |value| raw.encode(value, buf));
                         }
                     }
                 }
             }
             for ((v, o), payload) in payloads {
-                chunk1.send(&mut demand, v, o, &payload);
+                exchange.send(v, o, payload);
             }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<Vec<Packet>> = delivered.iter().map(|p| chunk1.merge(p)).collect();
+        let delivery = exchange.route(session)?;
 
-        // The leaf-row owners fold the signed combinations. Signed sums are
-        // kept in i64 (wrapping-safe by the headroom precondition); over F₂
-        // only the parity survives.
-        let mut leaf_ops: Vec<LeafOperands> = Vec::with_capacity(leaves.len());
-        for (t, leaf) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let mut readers: HashMap<usize, Vec<Option<BitReader<'_>>>> = (0..q)
-                .map(|rl| gs + lp.row_owner(rl))
-                .map(|o| (o, readers_by_source(n, &merged[o])))
-                .collect();
-            let mut acc_a = vec![0i64; q * q];
-            let mut acc_b = vec![0i64; q * q];
-            for (matrix, terms, acc) in [
-                (self.a, &leaf.a_terms, &mut acc_a),
-                (self.b, &leaf.b_terms, &mut acc_b),
-            ] {
-                for rl in 0..q {
-                    let o = gs + lp.row_owner(rl);
-                    for &(bi, bj, sign) in terms {
-                        let r = bi * q + rl;
-                        if r >= d || bj * q >= d {
-                            continue;
-                        }
-                        let v = global.row_owner(r);
-                        for c in bj * q..((bj + 1) * q).min(d) {
-                            let value = if v == o {
-                                matrix.entry(r, c)
-                            } else {
-                                readers.get_mut(&o).expect("owner readers built above")[v]
-                                    .as_mut()
-                                    .expect("missing fast-matmul input packet")
-                                    .read_bits(raw_width)
-                                    .expect("malformed fast-matmul input record")
-                            };
-                            acc[rl * q + (c - bj * q)] += sign * value as i64;
+        // Each leaf-row owner folds the signed combinations of its rows.
+        // Signed sums are kept in i64 (wrapping-safe by the headroom
+        // precondition); over F₂ only the parity survives.
+        let leaf_ops: Vec<[SemiringMatrix; 2]> = leaves
+            .iter()
+            .enumerate()
+            .map(|(t, leaf)| {
+                let (gs, lp) = (group_start(t), &leaf_parts[t]);
+                let mut combined = [vec![0i64; q * q], vec![0i64; q * q]];
+                for lo in 0..lp.n {
+                    let o = gs + lo;
+                    let mut readers = delivery.readers(o);
+                    let sides = [(self.a, &leaf.a_terms), (self.b, &leaf.b_terms)];
+                    for ((matrix, terms), sums) in sides.into_iter().zip(&mut combined) {
+                        for rl in lp.owned_rows(lo) {
+                            for (sign, r, cols) in terms.iter().filter_map(|term| segment(term, rl))
+                            {
+                                let v = global.row_owner(r);
+                                let mut reader = (v != o).then(|| {
+                                    readers[v]
+                                        .as_mut()
+                                        .expect("missing fast-matmul input packet")
+                                });
+                                for (slot, c) in sums[rl * q..].iter_mut().zip(cols) {
+                                    let value = match reader.as_mut() {
+                                        Some(reader) => raw.decode(reader),
+                                        None => matrix.entry(r, c),
+                                    };
+                                    *slot += sign * value as i64;
+                                }
+                            }
                         }
                     }
                 }
-            }
-            leaf_ops.push(match self.semiring {
-                Semiring::F2 => {
-                    let to_bits = |acc: &[i64]| {
-                        let mut m = BitMatrix::zeros(q, q);
-                        for r in 0..q {
-                            for c in 0..q {
-                                m.set(r, c, acc[r * q + c] & 1 == 1);
-                            }
-                        }
-                        m
-                    };
-                    LeafOperands::Bits(to_bits(&acc_a), to_bits(&acc_b))
-                }
-                _ => {
-                    let to_ints = |acc: &[i64]| {
-                        let mut m = IntMatrix::zeros(q, q);
-                        for r in 0..q {
-                            for c in 0..q {
-                                m.set(r, c, acc[r * q + c] as u64);
-                            }
-                        }
-                        m
-                    };
-                    LeafOperands::Ints(to_ints(&acc_a), to_ints(&acc_b))
-                }
-            });
-        }
+                combined.map(|sums| SemiringMatrix::from_signed(self.semiring, q, &sums))
+            })
+            .collect();
 
         // Phase 2 (leaf products): each group runs the cubic 3D exchange on
-        // its combined operands — the same canonical layout SemiringMatMul
-        // uses, offset into the group and with signed entry widths.
-        let mut demand = RoutingDemand::new(n);
-        for (t, _) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let (wire_a, wire_b, _) = &wires[t];
-            for i in 0..lp.g {
-                for j in 0..lp.g {
-                    for k in 0..lp.g {
-                        let w = gs + lp.cube_node(i, j, k);
-                        let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                        for (side, row_block, col_block) in [(0, i, k), (1, k, j)] {
-                            for r in lp.block(row_block) {
-                                let v = gs + lp.row_owner(r);
-                                if v == w {
-                                    continue;
-                                }
-                                let buf = payloads.entry(v).or_default();
-                                for c in lp.block(col_block) {
-                                    match &leaf_ops[t] {
-                                        LeafOperands::Bits(am, bm) => {
-                                            let m = if side == 0 { am } else { bm };
-                                            buf.push_bits(u64::from(m.get(r, c)), 1);
-                                        }
-                                        LeafOperands::Ints(am, bm) => {
-                                            let (m, wire) = if side == 0 {
-                                                (am, wire_a)
-                                            } else {
-                                                (bm, wire_b)
-                                            };
-                                            wire.encode(m.get(r, c) as i64, buf);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        for (v, payload) in payloads {
-                            chunk2.send(&mut demand, v, w, &payload);
-                        }
-                    }
-                }
-            }
+        // its combined operands and multiplies with the packed (F₂) or
+        // wrapping-exact (counting) leaf kernel.
+        let cubes: Vec<CubeExchange> = leaf_ops
+            .iter()
+            .enumerate()
+            .map(|(t, [a, b])| CubeExchange {
+                offset: group_start(t),
+                part: leaf_parts[t],
+                operands: [a, b],
+                wires: [wires[t][0], wires[t][1]],
+            })
+            .collect();
+        let mut exchange = RoutedExchange::new(n, Some(Chunker::new(bound2)));
+        for cube in &cubes {
+            cube.send(&mut exchange);
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<Vec<Packet>> = delivered.iter().map(|p| chunk2.merge(p)).collect();
-
-        // Cube nodes reassemble their blocks and multiply with the packed
-        // (F₂) or wrapping-exact (counting) leaf kernel.
-        let mut partials: Vec<Vec<LeafPartial>> = Vec::with_capacity(leaves.len());
-        for (t, _) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let (wire_a, wire_b, _) = &wires[t];
-            let mut cubes = Vec::with_capacity(lp.g * lp.g * lp.g);
-            for i in 0..lp.g {
-                for j in 0..lp.g {
-                    for k in 0..lp.g {
-                        let w = gs + lp.cube_node(i, j, k);
-                        let mut readers = readers_by_source(n, &merged[w]);
-                        let mut fill = |row_block: usize, col_block: usize, side: usize| {
-                            let (rows, cols) = (lp.block(row_block), lp.block(col_block));
-                            let mut bits = BitMatrix::zeros(rows.len(), cols.len());
-                            let mut ints = IntMatrix::zeros(rows.len(), cols.len());
-                            for (br, r) in rows.clone().enumerate() {
-                                let v = gs + lp.row_owner(r);
-                                for (bc, c) in cols.clone().enumerate() {
-                                    match (&leaf_ops[t], v == w) {
-                                        (LeafOperands::Bits(am, bm), true) => {
-                                            let m = if side == 0 { am } else { bm };
-                                            bits.set(br, bc, m.get(r, c));
-                                        }
-                                        (LeafOperands::Ints(am, bm), true) => {
-                                            let m = if side == 0 { am } else { bm };
-                                            ints.set(br, bc, m.get(r, c));
-                                        }
-                                        (LeafOperands::Bits(..), false) => {
-                                            let reader = readers[v]
-                                                .as_mut()
-                                                .expect("missing fast-matmul block packet");
-                                            let bit = reader
-                                                .read_bits(1)
-                                                .expect("malformed fast-matmul block record");
-                                            bits.set(br, bc, bit == 1);
-                                        }
-                                        (LeafOperands::Ints(..), false) => {
-                                            let wire = if side == 0 { wire_a } else { wire_b };
-                                            let reader = readers[v]
-                                                .as_mut()
-                                                .expect("missing fast-matmul block packet");
-                                            ints.set(br, bc, wire.decode(reader) as u64);
-                                        }
-                                    }
-                                }
-                            }
-                            (bits, ints)
-                        };
-                        let (a_bits, a_ints) = fill(i, k, 0);
-                        let (b_bits, b_ints) = fill(k, j, 1);
-                        cubes.push(match self.semiring {
-                            Semiring::F2 => LeafPartial::Bits(a_bits.mul_f2(&b_bits)),
-                            _ => LeafPartial::Ints(a_ints.mul_wrapping(&b_ints)),
-                        });
-                    }
-                }
+        let delivery = exchange.route(session)?;
+        let kernel = |a: &SemiringMatrix, b: &SemiringMatrix| match (a, b) {
+            (SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
+                SemiringMatrix::Ints(a.mul_wrapping(b))
             }
-            partials.push(cubes);
-        }
+            _ => a.product(b, Semiring::F2),
+        };
+        let partials: Vec<Vec<SemiringMatrix>> = cubes
+            .iter()
+            .map(|cube| cube.products(self.semiring, &delivery, kernel))
+            .collect();
 
         // Phase 3 (recombine): signed partials → output row owners. Each
         // cube's partial feeds every output block in its leaf's c_terms;
         // the receivers fold contributions in the same canonical
-        // (leaf, cube, term, row, column) order the senders used. The i64
-        // (counting) and XOR (F₂) folds are order-independent, unlike the
-        // cubic path's saturating fold — exactness is the precondition.
-        let mut acc_out = vec![0i64; d * d];
-        let mut bits_out = BitMatrix::zeros(d, d);
-        let fold = |semiring: Semiring,
-                    acc_out: &mut Vec<i64>,
-                    bits_out: &mut BitMatrix,
-                    r: usize,
-                    c: usize,
-                    sign: i64,
-                    value: i64| {
-            match semiring {
-                Semiring::F2 => {
-                    if value & 1 == 1 {
-                        let cur = bits_out.get(r, c);
-                        bits_out.set(r, c, !cur);
-                    }
-                }
-                _ => acc_out[r * d + c] += sign * value,
-            }
+        // (leaf, cube, term, row, column) order the senders used, into one
+        // i64 sum per entry whose parity is the F₂ result. The fold is
+        // order-independent, unlike the cubic path's saturating fold —
+        // exactness is the precondition.
+        let mut sums = vec![0i64; d * d];
+        // The (sign, partial row, output row, unpadded output columns)
+        // segments the partial of cube (i, j) in leaf t feeds, in canonical
+        // (term, row) order.
+        let segments = |t: usize, i: usize, j: usize| {
+            let (rows, cols) = (leaf_parts[t].block(i), leaf_parts[t].block(j));
+            let terms = leaves[t].c_terms.iter().flat_map(move |&(ci, cj, sign)| {
+                let cols = (cj * q + cols.start).min(d)..(cj * q + cols.end).min(d);
+                let rows = rows.clone().enumerate();
+                rows.map(move |(pi, rl)| (sign, pi, ci * q + rl, cols.clone()))
+            });
+            terms.filter(move |&(_, _, r, _)| r < d)
         };
-        let mut demand = RoutingDemand::new(n);
-        for (t, leaf) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let (_, _, wire_p) = &wires[t];
-            let mut cube_iter = partials[t].iter();
-            for i in 0..lp.g {
-                for j in 0..lp.g {
-                    for k in 0..lp.g {
-                        let w = gs + lp.cube_node(i, j, k);
-                        let partial = cube_iter.next().expect("one partial per cube");
-                        let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                        for &(ci, cj, sign) in &leaf.c_terms {
-                            if cj * q >= d {
-                                continue;
-                            }
-                            for (pi, rl) in lp.block(i).enumerate() {
-                                let out_r = ci * q + rl;
-                                if out_r >= d {
-                                    continue;
-                                }
-                                let v = global.row_owner(out_r);
-                                for (pj, cl) in lp.block(j).enumerate() {
-                                    let out_c = cj * q + cl;
-                                    if out_c >= d {
-                                        continue;
-                                    }
-                                    let value = match partial {
-                                        LeafPartial::Bits(m) => i64::from(m.get(pi, pj)),
-                                        LeafPartial::Ints(m) => m.get(pi, pj) as i64,
-                                    };
-                                    if v == w {
-                                        fold(
-                                            self.semiring,
-                                            &mut acc_out,
-                                            &mut bits_out,
-                                            out_r,
-                                            out_c,
-                                            sign,
-                                            value,
-                                        );
-                                    } else {
-                                        let buf = payloads.entry(v).or_default();
-                                        match self.semiring {
-                                            Semiring::F2 => buf.push_bits(value as u64, 1),
-                                            _ => wire_p.encode(value, buf),
-                                        }
-                                    }
-                                }
-                            }
+        let mut exchange = RoutedExchange::new(n, Some(Chunker::new(bound3)));
+        for (t, lp) in leaf_parts.iter().enumerate() {
+            let gs = group_start(t);
+            for ((w, i, j, _), partial) in lp.cubes(0..lp.g).zip(&partials[t]) {
+                let w = gs + w;
+                let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
+                for (sign, pi, r, cols) in segments(t, i, j) {
+                    let v = global.row_owner(r);
+                    if v == w {
+                        for (slot, pj) in sums[r * d..][cols].iter_mut().zip(0..) {
+                            *slot += sign * partial.entry(pi, pj) as i64;
                         }
-                        for (v, payload) in payloads {
-                            chunk3.send(&mut demand, w, v, &payload);
+                    } else {
+                        let buf = payloads.entry(v).or_default();
+                        partial.for_row(pi, 0..cols.len(), |value| wires[t][2].encode(value, buf));
+                    }
+                }
+                for (v, payload) in payloads {
+                    exchange.send(w, v, payload);
+                }
+            }
+        }
+        let delivery = exchange.route(session)?;
+
+        for v in 0..n {
+            let mut readers = delivery.readers(v);
+            for (t, lp) in leaf_parts.iter().enumerate() {
+                let gs = group_start(t);
+                for (w, i, j, _) in lp.cubes(0..lp.g) {
+                    let w = gs + w;
+                    if w == v {
+                        continue; // folded locally above
+                    }
+                    for (sign, _, r, cols) in segments(t, i, j) {
+                        if global.row_owner(r) != v || cols.is_empty() {
+                            continue;
+                        }
+                        let reader = readers[w]
+                            .as_mut()
+                            .expect("missing fast-matmul partial packet");
+                        for slot in &mut sums[r * d..][cols] {
+                            *slot += sign * wires[t][2].decode(reader) as i64;
                         }
                     }
                 }
             }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<Vec<Packet>> = delivered.iter().map(|p| chunk3.merge(p)).collect();
-
-        for (v, merged_sources) in merged.iter().enumerate() {
-            let mut readers = readers_by_source(n, merged_sources);
-            for (t, leaf) in leaves.iter().enumerate() {
-                let (gs, lp) = (group_start(t), &leaf_parts[t]);
-                let (_, _, wire_p) = &wires[t];
-                for i in 0..lp.g {
-                    for j in 0..lp.g {
-                        for k in 0..lp.g {
-                            let w = gs + lp.cube_node(i, j, k);
-                            if w == v {
-                                continue; // folded locally above
-                            }
-                            for &(ci, cj, sign) in &leaf.c_terms {
-                                if cj * q >= d {
-                                    continue;
-                                }
-                                for rl in lp.block(i) {
-                                    let out_r = ci * q + rl;
-                                    if out_r >= d || global.row_owner(out_r) != v {
-                                        continue;
-                                    }
-                                    for cl in lp.block(j) {
-                                        let out_c = cj * q + cl;
-                                        if out_c >= d {
-                                            continue;
-                                        }
-                                        let reader = readers[w]
-                                            .as_mut()
-                                            .expect("missing fast-matmul partial packet");
-                                        let value = match self.semiring {
-                                            Semiring::F2 => reader
-                                                .read_bits(1)
-                                                .expect("malformed fast-matmul partial record")
-                                                as i64,
-                                            _ => wire_p.decode(reader),
-                                        };
-                                        fold(
-                                            self.semiring,
-                                            &mut acc_out,
-                                            &mut bits_out,
-                                            out_r,
-                                            out_c,
-                                            sign,
-                                            value,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        Ok(match self.semiring {
-            Semiring::F2 => SemiringMatrix::Bits(bits_out),
-            _ => {
-                let mut out = IntMatrix::zeros(d, d);
-                for r in 0..d {
-                    for c in 0..d {
-                        let value = acc_out[r * d + c];
-                        debug_assert!(value >= 0, "the signed fold recovers the exact product");
-                        out.set(r, c, value as u64);
-                    }
-                }
-                SemiringMatrix::Ints(out)
-            }
-        })
+        Ok(SemiringMatrix::from_signed(self.semiring, d, &sums))
     }
 }
 
@@ -1481,9 +1302,55 @@ pub fn fast_matmul(
     Runner::new(CliqueConfig::unicast(n, bandwidth)).execute(&mut FastMatMul::new(a, b, semiring))
 }
 
-/// Surviving sparse partials grouped per `(dst owner, output row)`:
-/// `(row, col, value)` records awaiting the receiver-side fold.
-type SparseRecords = BTreeMap<(usize, usize), Vec<(usize, usize, u64)>>;
+/// The layout of one sparse payload: a count prefix, then `(x, y, entry)`
+/// records of two local index fields and one entry on its wire — every
+/// width derived from public row counts, like the routers' packet framing.
+struct SparseRecords {
+    count: usize,
+    x: usize,
+    y: usize,
+    wire: Wire,
+}
+
+impl SparseRecords {
+    /// Records with `x < x_len` and `y < y_len`, at most `x_len · y_len`
+    /// of them per payload.
+    fn new(x_len: usize, y_len: usize, wire: Wire) -> SparseRecords {
+        let index = |len: usize| bits_for_universe(len as u64).max(1);
+        SparseRecords {
+            count: Wire::unsigned((x_len * y_len) as u64).width,
+            x: index(x_len),
+            y: index(y_len),
+            wire,
+        }
+    }
+
+    fn encode(&self, records: &[(usize, usize, u64)]) -> BitString {
+        let mut payload = BitString::new();
+        payload.push_bits(records.len() as u64, self.count);
+        for &(x, y, value) in records {
+            payload.push_bits(x as u64, self.x);
+            payload.push_bits(y as u64, self.y);
+            self.wire.encode(value, &mut payload);
+        }
+        payload
+    }
+
+    fn decode(&self, reader: &mut BitReader<'_>, mut record: impl FnMut(usize, usize, u64)) {
+        let count = reader
+            .read_bits(self.count)
+            .expect("malformed sparse-matmul count");
+        for _ in 0..count {
+            let mut index = |width| {
+                reader
+                    .read_bits(width)
+                    .expect("malformed sparse-matmul record") as usize
+            };
+            let (x, y) = (index(self.x), index(self.y));
+            record(x, y, self.wire.decode(reader));
+        }
+    }
+}
 
 /// The sparsity-aware distributed product (Le Gall, *Further Algebraic
 /// Algorithms in the Congested Clique Model*) as a [`Protocol`]: only
@@ -1533,15 +1400,6 @@ impl<'a> SparseMatMul<'a> {
         Self { a, b, semiring }
     }
 
-    /// The additive identity ("zero") entries of this semiring never
-    /// communicated by the sparse path.
-    fn identity(semiring: Semiring) -> u64 {
-        match semiring {
-            Semiring::MinPlus => IntMatrix::INFINITY,
-            _ => 0,
-        }
-    }
-
     /// The semiring product of two non-identity entries, matching the
     /// dense kernels' clamping exactly.
     fn multiply(semiring: Semiring, a: u64, b: u64) -> u64 {
@@ -1564,35 +1422,23 @@ impl Protocol for SparseMatMul<'_> {
             return Ok(SemiringMatrix::identity_filled(self.semiring, 0, 0));
         }
         let part = Partition::new(n, d);
-        let identity = Self::identity(self.semiring);
-        let codec = EntryCodec::new(self.semiring, self.a, self.b, d);
-        // Rows owned per player form a contiguous range (row_owner is a
-        // monotone floor map), so local row indices are offsets from the
-        // first owned row — all widths below are public.
-        let owned: Vec<Range<usize>> = (0..n)
-            .map(|v| {
-                let first = (0..d).find(|&r| part.row_owner(r) == v).unwrap_or(d);
-                let last = (first..d).take_while(|&r| part.row_owner(r) == v).last();
-                first..last.map_or(first, |r| r + 1)
-            })
-            .collect();
-        let idx_width = |len: usize| bits_for_universe(len as u64).max(1);
-        let count_width = |bound: u64| bits_for_universe(bound.saturating_add(1)).max(1);
+        let identity = self.semiring.zero();
+        let (input, partial_wire) = Wire::for_product(self.semiring, self.a, self.b, d);
+        // Local row indices are offsets from each player's first owned
+        // row, so every record width below is public.
+        let owned: Vec<Range<usize>> = (0..n).map(|v| part.owned_rows(v)).collect();
 
         // Phase 1: route A's column nonzeros to the inner-index owners
         // (B's rows are already in place). Records: (k offset among the
         // receiver's indices, r offset among the sender's rows, value).
-        let mut demand = RoutingDemand::new(n);
-        let mut records: SparseRecords = BTreeMap::new();
+        let inputs = |v: usize, w: usize| SparseRecords::new(owned[w].len(), owned[v].len(), input);
+        let mut records = BTreeMap::<_, Vec<_>>::new();
         for k in 0..d {
             let w = part.row_owner(k);
             for r in 0..d {
-                let v = part.row_owner(r);
-                if v == w {
-                    continue; // the owner already holds its rows of A
-                }
-                let value = self.a.entry(r, k);
-                if value != identity {
+                let (v, value) = (part.row_owner(r), self.a.entry(r, k));
+                // The owner already holds its rows of A.
+                if v != w && value != identity {
                     records.entry((v, w)).or_default().push((
                         k - owned[w].start,
                         r - owned[v].start,
@@ -1601,18 +1447,11 @@ impl Protocol for SparseMatMul<'_> {
                 }
             }
         }
+        let mut exchange = RoutedExchange::new(n, None);
         for ((v, w), entries) in records {
-            let mut payload = BitString::new();
-            let bound = (owned[v].len() * owned[w].len()) as u64;
-            payload.push_bits(entries.len() as u64, count_width(bound));
-            for (kl, rl, value) in entries {
-                payload.push_bits(kl as u64, idx_width(owned[w].len()));
-                payload.push_bits(rl as u64, idx_width(owned[v].len()));
-                codec.encode_input(value, &mut payload);
-            }
-            demand.send(v, w, payload);
+            exchange.send(v, w, inputs(v, w).encode(&entries));
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
+        let delivery = exchange.route(session)?;
 
         // Local compute at each inner-index owner: assemble the nonzero
         // columns of A, cross them with the owned nonzero rows of B, and
@@ -1631,29 +1470,15 @@ impl Protocol for SparseMatMul<'_> {
                     }
                 }
             }
-            let mut readers = readers_by_source(n, &delivered[w]);
-            for v in 0..n {
-                let Some(reader) = readers[v].as_mut() else {
-                    continue; // no nonzeros from v (empty payloads unsent)
-                };
-                let bound = (owned[v].len() * owned[w].len()) as u64;
-                let count = reader
-                    .read_bits(count_width(bound))
-                    .expect("malformed sparse-matmul count");
-                for _ in 0..count {
-                    let kl = reader
-                        .read_bits(idx_width(owned[w].len()))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let rl = reader
-                        .read_bits(idx_width(owned[v].len()))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let value = codec.decode_input(reader);
-                    columns
-                        .entry(owned[w].start + kl)
-                        .or_default()
-                        .push((owned[v].start + rl, value));
+            // No nonzeros from v means no payload (empty payloads unsent).
+            for (v, reader) in delivery.readers(w).iter_mut().enumerate() {
+                if let Some(reader) = reader {
+                    inputs(v, w).decode(reader, |kl, rl, value| {
+                        columns
+                            .entry(owned[w].start + kl)
+                            .or_default()
+                            .push((owned[v].start + rl, value))
+                    });
                 }
             }
             let mut partials: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -1675,8 +1500,9 @@ impl Protocol for SparseMatMul<'_> {
 
         // Phase 2: surviving partials route to the output row owners.
         // Records: (r offset among the receiver's rows, column, value).
+        let outputs = |v: usize| SparseRecords::new(owned[v].len(), d, partial_wire);
         let mut output = SemiringMatrix::identity_filled(self.semiring, d, d);
-        let mut demand = RoutingDemand::new(n);
+        let mut exchange = RoutedExchange::new(n, None);
         for (w, partials) in folded.iter().enumerate() {
             let mut records: BTreeMap<usize, Vec<(usize, usize, u64)>> = BTreeMap::new();
             for (&(r, c), &value) in partials {
@@ -1694,39 +1520,18 @@ impl Protocol for SparseMatMul<'_> {
                 }
             }
             for (v, entries) in records {
-                let mut payload = BitString::new();
-                let bound = (owned[v].len() * d) as u64;
-                payload.push_bits(entries.len() as u64, count_width(bound));
-                for (rl, c, value) in entries {
-                    payload.push_bits(rl as u64, idx_width(owned[v].len()));
-                    payload.push_bits(c as u64, idx_width(d));
-                    codec.encode_partial(value, &mut payload);
-                }
-                demand.send(w, v, payload);
+                exchange.send(w, v, outputs(v).encode(&entries));
             }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
+        let delivery = exchange.route(session)?;
 
-        for (v, packets) in delivered.iter().enumerate() {
+        for (v, rows) in owned.iter().enumerate() {
             // Sources in ascending order; players with no surviving
             // partials sent nothing.
-            for reader in readers_by_source(n, packets).iter_mut().flatten() {
-                let bound = (owned[v].len() * d) as u64;
-                let count = reader
-                    .read_bits(count_width(bound))
-                    .expect("malformed sparse-matmul count");
-                for _ in 0..count {
-                    let rl = reader
-                        .read_bits(idx_width(owned[v].len()))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let c = reader
-                        .read_bits(idx_width(d))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let value = codec.decode_partial(reader);
-                    output.combine_entry(self.semiring, owned[v].start + rl, c, value);
-                }
+            for reader in delivery.readers(v).iter_mut().flatten() {
+                outputs(v).decode(reader, |rl, c, value| {
+                    output.combine_entry(self.semiring, rows.start + rl, c, value)
+                });
             }
         }
         Ok(output)
@@ -1827,19 +1632,15 @@ impl MatMulSchedule {
                 let d = a.rows();
                 let total = 2 * d * d;
                 let nnz = a.nnz(semiring) + b.nnz(semiring);
+                let levels = FastMatMul::levels_for(n, d);
                 if total > 0 && nnz * 8 <= total * SPARSE_DENSITY_EIGHTHS {
                     MatMulSchedule::Sparse
                 } else if matches!(semiring, Semiring::F2 | Semiring::Counting)
                     && n >= STRASSEN_MIN_PLAYERS
                     && d >= STRASSEN_MIN_ASPECT * n
-                    && FastMatMul::levels_for(n, d) >= 1
+                    && levels >= 1
                     && (semiring != Semiring::Counting
-                        || counting_headroom_ok(
-                            a.max_finite(),
-                            b.max_finite(),
-                            d,
-                            FastMatMul::levels_for(n, d),
-                        ))
+                        || counting_headroom_ok(a.max_finite(), b.max_finite(), d, levels))
                 {
                     MatMulSchedule::Strassen
                 } else {
@@ -1963,8 +1764,8 @@ impl Protocol for TriangleCount<'_> {
     fn run(&mut self, session: &mut Session) -> Result<u64, SimError> {
         let n = self.graph.vertex_count();
         session.require_clique_of(n);
-        let adjacency = IntMatrix::from_bitmatrix(&self.graph.adjacency_bitmatrix());
-        let operand = SemiringMatrix::Ints(adjacency.clone());
+        let operand =
+            SemiringMatrix::Ints(IntMatrix::from_bitmatrix(&self.graph.adjacency_bitmatrix()));
         let product = session.run_protocol(&mut ScheduledMatMul::new(
             &operand,
             &operand,
@@ -1972,27 +1773,25 @@ impl Protocol for TriangleCount<'_> {
             self.schedule,
         ))?;
         let m = product.as_ints().expect("counting products are integers");
+        let adjacency = operand
+            .as_ints()
+            .expect("the adjacency operand is integers");
 
-        // Player v's closed-3-walk count t_v ≤ n² fits in the fixed width
-        // every player derives from n.
+        // Player v's closed-3-walk count t_v ≤ n² (its row of M against its
+        // own adjacency row) fits in the fixed width every player derives
+        // from n.
         let width = bits_for_universe((n as u64).saturating_mul(n as u64).saturating_add(1)).max(1);
-        let part = Partition::new(n, n);
-        let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-        let mut locals = vec![0u64; n];
-        for r in 0..n {
-            let v = part.row_owner(r);
-            let walks: u64 = m
-                .row(r)
-                .iter()
-                .zip(adjacency.row(r))
-                .map(|(&paths, &edge)| paths * edge)
-                .sum();
-            locals[v] += walks;
-        }
-        for (v, out) in outs.iter_mut().enumerate() {
-            out.broadcast(BitString::from_bits(locals[v], width));
-        }
-        let inboxes = session.exchange("announce closed-walk counts", outs)?;
+        let locals: Vec<u64> = (0..n)
+            .map(|v| {
+                let walks = m.row(v).iter().zip(adjacency.row(v));
+                walks.map(|(&paths, &edge)| paths * edge).sum()
+            })
+            .collect();
+        let counts: Vec<BitString> = locals
+            .iter()
+            .map(|&t| BitString::from_bits(t, width))
+            .collect();
+        let inboxes = session.broadcast_all("announce closed-walk counts", &counts)?;
 
         // Everyone sums the announced counts; trace(A³) = 6·#triangles.
         let mut total = locals[0];
@@ -2018,27 +1817,6 @@ pub fn count_triangles(graph: &Graph, bandwidth: usize) -> Result<RunOutcome<u64
     let n = graph.vertex_count();
     assert!(n > 0, "the input graph must have at least one node");
     Runner::new(CliqueConfig::unicast(n, bandwidth)).execute(&mut TriangleCount::new(graph))
-}
-
-/// Runs [`TriangleCount`] in `CLIQUE-UCAST(n, b)` with an explicit matmul
-/// schedule for the inner counting product.
-///
-/// # Errors
-///
-/// Propagates simulator errors (which cannot occur for well-formed inputs).
-///
-/// # Panics
-///
-/// Panics if the graph is empty or a forced schedule's preconditions fail.
-pub fn count_triangles_scheduled(
-    graph: &Graph,
-    bandwidth: usize,
-    schedule: MatMulSchedule,
-) -> Result<RunOutcome<u64>, SimError> {
-    let n = graph.vertex_count();
-    assert!(n > 0, "the input graph must have at least one node");
-    Runner::new(CliqueConfig::unicast(n, bandwidth))
-        .execute(&mut TriangleCount::with_schedule(graph, schedule))
 }
 
 /// All-pairs shortest paths on an unweighted graph as a [`Protocol`]:
@@ -2099,37 +1877,29 @@ impl Protocol for ApspProtocol<'_> {
         if n <= 1 {
             return Ok(distances);
         }
-        let part = Partition::new(n, n);
         let squarings = (usize::BITS - (n - 1).leading_zeros()) as usize;
         for _ in 0..squarings {
             let operand = SemiringMatrix::Ints(distances);
-            let squared = session.run_protocol(&mut ScheduledMatMul::new(
+            let SemiringMatrix::Ints(squared) = session.run_protocol(&mut ScheduledMatMul::new(
                 &operand,
                 &operand,
                 Semiring::MinPlus,
                 self.schedule,
-            ))?;
-            let squared = squared
-                .as_ints()
-                .expect("min-plus products are integers")
-                .clone();
+            ))?
+            else {
+                unreachable!("min-plus products are integers");
+            };
             let previous = operand.as_ints().expect("operand is integers");
 
             // Early-exit vote: player v announces whether any of its rows
             // changed; everyone stops after a unanimous "no".
-            let mut changed = vec![false; n];
-            for r in 0..n {
-                if squared.row(r) != previous.row(r) {
-                    changed[part.row_owner(r)] = true;
-                }
-            }
-            let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-            for (v, out) in outs.iter_mut().enumerate() {
-                out.broadcast(BitString::from_bits(u64::from(changed[v]), 1));
-            }
-            session.exchange("announce distance-change flags", outs)?;
+            let flags: Vec<BitString> = (0..n)
+                .map(|v| BitString::from_bits(u64::from(squared.row(v) != previous.row(v)), 1))
+                .collect();
+            let converged = squared == *previous;
+            session.broadcast_all("announce distance-change flags", &flags)?;
             distances = squared;
-            if !changed.iter().any(|&c| c) {
+            if converged {
                 break;
             }
         }
@@ -2150,28 +1920,6 @@ pub fn compute_apsp(graph: &Graph, bandwidth: usize) -> Result<RunOutcome<IntMat
     let n = graph.vertex_count();
     assert!(n > 0, "the input graph must have at least one node");
     Runner::new(CliqueConfig::unicast(n, bandwidth)).execute(&mut ApspProtocol::new(graph))
-}
-
-/// Runs [`ApspProtocol`] in `CLIQUE-UCAST(n, b)` with an explicit matmul
-/// schedule for the `(min, +)` squarings.
-///
-/// # Errors
-///
-/// Propagates simulator errors (which cannot occur for well-formed inputs).
-///
-/// # Panics
-///
-/// Panics if the graph is empty or a forced schedule's preconditions fail
-/// (in particular `Strassen`, which `(min, +)` does not support).
-pub fn compute_apsp_scheduled(
-    graph: &Graph,
-    bandwidth: usize,
-    schedule: MatMulSchedule,
-) -> Result<RunOutcome<IntMatrix>, SimError> {
-    let n = graph.vertex_count();
-    assert!(n > 0, "the input graph must have at least one node");
-    Runner::new(CliqueConfig::unicast(n, bandwidth))
-        .execute(&mut ApspProtocol::with_schedule(graph, schedule))
 }
 
 #[cfg(test)]
@@ -2574,7 +2322,9 @@ mod tests {
             MatMulSchedule::Sparse,
             MatMulSchedule::Auto,
         ] {
-            let scheduled = count_triangles_scheduled(&g, 4, schedule).unwrap();
+            let scheduled = Runner::new(CliqueConfig::unicast(28, 4))
+                .execute(&mut TriangleCount::with_schedule(&g, schedule))
+                .unwrap();
             assert_eq!(*scheduled, *default_triangles, "{}", schedule.name());
         }
         let sparse_g = generators::path(20);
@@ -2584,7 +2334,9 @@ mod tests {
             MatMulSchedule::Sparse,
             MatMulSchedule::Auto,
         ] {
-            let scheduled = compute_apsp_scheduled(&sparse_g, 4, schedule).unwrap();
+            let scheduled = Runner::new(CliqueConfig::unicast(20, 4))
+                .execute(&mut ApspProtocol::with_schedule(&sparse_g, schedule))
+                .unwrap();
             assert_eq!(*scheduled, *default_apsp, "{}", schedule.name());
         }
     }

@@ -297,7 +297,9 @@ fn routers_match_pre_redesign_counts() {
 
 #[test]
 fn fast_matmul_schedules_match_pinned_counts() {
-    use congested_clique::algebraic::{FastMatMul, Semiring, SemiringMatrix, SparseMatMul};
+    use congested_clique::algebraic::{
+        FastMatMul, Semiring, SemiringMatMul, SemiringMatrix, SparseMatMul,
+    };
 
     // Strassen schedule above the dispatch crossover: 56 players, two rows
     // each, the E18 (56, 112) grid point at bandwidth 4.
@@ -323,4 +325,56 @@ fn fast_matmul_schedules_match_pinned_counts() {
     let local = adj.as_bits().unwrap().mul_bool(adj.as_bits().unwrap());
     assert_eq!(sparse.as_bits().unwrap(), &local);
     assert_eq!((sparse.rounds(), sparse.total_bits()), (46, 14165));
+
+    // The same E18 (56, 112) Strassen shape on counting operands: pins the
+    // signed per-leaf wire widths of the pre-combine, leaf-product and
+    // recombine phases.
+    let a = SemiringMatrix::Ints(random_ints(112, 3, false, 0xC0DE));
+    let b = SemiringMatrix::Ints(random_ints(112, 3, false, 0xC0DF));
+    let fast = Runner::new(CliqueConfig::unicast(56, 4))
+        .execute(&mut FastMatMul::new(&a, &b, Semiring::Counting))
+        .unwrap();
+    let local = a.as_ints().unwrap().mul_counting(b.as_ints().unwrap());
+    assert_eq!(fast.as_ints().unwrap(), &local);
+    assert_eq!((fast.rounds(), fast.total_bits()), (384, 3188585));
+
+    // The cubic 3D schedule with two rows per player: counting pins its
+    // input and partial entry widths ...
+    let a = SemiringMatrix::Ints(random_ints(54, 5, false, 0xCB1C));
+    let b = SemiringMatrix::Ints(random_ints(54, 5, false, 0xCB1D));
+    let cubic = Runner::new(CliqueConfig::unicast(27, 4))
+        .execute(&mut SemiringMatMul::new(&a, &b, Semiring::Counting))
+        .unwrap();
+    let local = a.as_ints().unwrap().mul_counting(b.as_ints().unwrap());
+    assert_eq!(cubic.as_ints().unwrap(), &local);
+    assert_eq!((cubic.rounds(), cubic.total_bits()), (286, 243116));
+
+    // ... and (min, +) pins them with the all-ones INFINITY sentinel, on a
+    // dimension the players do not divide evenly.
+    let a = SemiringMatrix::Ints(random_ints(45, 9, true, 0x7A0B));
+    let b = SemiringMatrix::Ints(random_ints(45, 9, true, 0x7A0C));
+    let cubic = Runner::new(CliqueConfig::unicast(30, 4))
+        .execute(&mut SemiringMatMul::new(&a, &b, Semiring::MinPlus))
+        .unwrap();
+    let local = a.as_ints().unwrap().mul_min_plus(b.as_ints().unwrap());
+    assert_eq!(cubic.as_ints().unwrap(), &local);
+    assert_eq!((cubic.rounds(), cubic.total_bits()), (210, 157759));
+}
+
+/// A `d × d` integer operand with entries uniform in `0..=max`, a fifth of
+/// them [`IntMatrix::INFINITY`] when `infinities` is set.
+fn random_ints(d: usize, max: u64, infinities: bool, seed: u64) -> IntMatrix {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    let mut m = IntMatrix::zeros(d, d);
+    for i in 0..d {
+        for j in 0..d {
+            let v = if infinities && r.gen_bool(0.2) {
+                IntMatrix::INFINITY
+            } else {
+                r.gen_range(0..max + 1)
+            };
+            m.set(i, j, v);
+        }
+    }
+    m
 }
